@@ -152,6 +152,13 @@ cat /tmp/metro_run_a.txt
 ./build/bench/bench_core --smoke --out /tmp/BENCH_CORE.json
 for gate_file in /tmp/BENCH_CORE.json BENCH_CORE.json; do
   grep -q '"gates_passed": true' "$gate_file"
+  # Any gate, including ones not named below (scheduler_speedup_ok,
+  # delivery_ok, and every gate added later), fails CI when false.
+  if grep -Eq '_ok": *false' "$gate_file"; then
+    echo "ci: a gate in $gate_file is false" >&2
+    grep -E '_ok": *false' "$gate_file" >&2
+    exit 1
+  fi
   grep -q '"packet_hop_allocs_ok": true' "$gate_file"
   grep -q '"tcp_bulk_allocs_ok": true' "$gate_file"
   grep -q '"sweep_identical_ok": true' "$gate_file"

@@ -8,32 +8,19 @@ namespace hpop::attic {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+void mix_str(util::Fnv& fnv, std::string_view s) {
+  fnv.mix(s.size());
+  fnv.mix_bytes(s.data(), s.size());
+}
 
-struct Fnv {
-  std::uint64_t h = kFnvOffset;
-  void mix_byte(std::uint8_t b) {
-    h ^= b;
-    h *= kFnvPrime;
+void mix_body(util::Fnv& fnv, const http::Body& b) {
+  fnv.mix(b.size());
+  if (b.is_real()) {
+    fnv.mix_bytes(b.bytes().data(), b.bytes().size());
+  } else {
+    fnv.mix(b.tag());
   }
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) mix_byte(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void mix(std::string_view s) {
-    mix(s.size());
-    for (const char c : s) mix_byte(static_cast<std::uint8_t>(c));
-  }
-  void mix_body(const http::Body& b) {
-    if (b.is_real()) {
-      mix(b.size());
-      for (const std::uint8_t byte : b.bytes()) mix_byte(byte);
-    } else {
-      mix(b.size());
-      mix(b.tag());
-    }
-  }
-};
+}
 
 }  // namespace
 
@@ -336,19 +323,19 @@ bool AtticStore::parse_snapshot(const util::Bytes& payload) {
 }
 
 std::uint64_t AtticStore::fingerprint() const {
-  Fnv fnv;
+  util::Fnv fnv(util::kFnvOffsetShort);
   fnv.mix(etag_counter_);
   fnv.mix(used_);
   fnv.mix(dirs_.size());
-  for (const std::string& d : dirs_) fnv.mix(d);
+  for (const std::string& d : dirs_) mix_str(fnv, d);
   fnv.mix(files_.size());
   for (const auto& [path, entry] : files_) {
-    fnv.mix(path);
+    mix_str(fnv, path);
     fnv.mix(entry.versions.size());
     for (const FileVersion& v : entry.versions) {
-      fnv.mix(v.etag);
+      mix_str(fnv, v.etag);
       fnv.mix(static_cast<std::uint64_t>(v.modified));
-      fnv.mix_body(v.content);
+      mix_body(fnv, v.content);
     }
   }
   return fnv.h;

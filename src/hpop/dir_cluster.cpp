@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 
 namespace hpop::core {
@@ -16,12 +17,9 @@ std::uint64_t splitmix64(std::uint64_t x) {
 }
 
 std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
+  util::Fnv fnv(util::kFnvOffsetShort);
+  fnv.mix_bytes(s.data(), s.size());
+  return fnv.h;
 }
 
 }  // namespace
@@ -77,7 +75,7 @@ std::uint32_t HashRing::primary(std::string_view household) const {
 }
 
 std::uint64_t HashRing::fingerprint() const {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = util::kFnvOffsetShort;
   for (const auto& [point, shard] : ring_) {
     h = splitmix64(h ^ point ^ shard);
   }
@@ -608,7 +606,7 @@ std::size_t DirectoryCluster::total_registered() const {
 }
 
 std::uint64_t DirectoryCluster::fingerprint() const {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = util::kFnvOffsetShort;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     const std::uint64_t fp =
         slots_[i].shard ? slots_[i].shard->fingerprint() : 0;

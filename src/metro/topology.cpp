@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <string>
 
+#include "util/hash.hpp"
+
 namespace hpop::metro {
 
 namespace {
@@ -23,22 +25,6 @@ int prefix_bits(std::uint32_t block) {
   }
   return bits;
 }
-
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  void mix_double(double d) {
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof d);
-    __builtin_memcpy(&bits, &d, sizeof bits);
-    mix(bits);
-  }
-};
 
 }  // namespace
 
@@ -87,7 +73,7 @@ net::Prefix MetroTopology::pop_prefix(std::size_t p) const {
 }
 
 std::uint64_t MetroTopology::fingerprint() const {
-  Fnv fnv;
+  util::Fnv fnv(util::kFnvOffsetShort);
   fnv.mix(homes.size());
   fnv.mix(dslams.size());
   fnv.mix(pops.size());

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/hash.hpp"
+
 namespace hpop::metro {
 
 namespace {
@@ -15,21 +17,6 @@ std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
 }
-
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  void mix_double(double d) {
-    std::uint64_t bits;
-    __builtin_memcpy(&bits, &d, sizeof bits);
-    mix(bits);
-  }
-};
 
 }  // namespace
 
@@ -222,7 +209,7 @@ double EventPlan::max_crowd_intensity() const {
 }
 
 std::uint64_t EventPlan::fingerprint() const {
-  Fnv fnv;
+  util::Fnv fnv(util::kFnvOffsetShort);
   fnv.mix(events.size());
   for (const EventSpec& e : events) {
     fnv.mix(static_cast<std::uint64_t>(e.kind));

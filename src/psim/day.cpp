@@ -1,19 +1,12 @@
 #include "psim/day.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
-#include <cstdio>
 #include <memory>
+#include <utility>
 #include <vector>
 
-#include "fault/fault.hpp"
-#include "metro/partition.hpp"
-#include "metro/topology.hpp"
-#include "metro/workload.hpp"
-#include "net/network.hpp"
-#include "psim/engine.hpp"
-#include "util/rng.hpp"
+#include "psim/sharded_day.hpp"
 
 namespace hpop::psim {
 
@@ -24,81 +17,57 @@ constexpr std::uint16_t kRespPort = 7200;
 constexpr std::size_t kReqWire = 64;
 constexpr std::size_t kChunkBytes = 1200;
 
-/// What a request asks for; rides the request datagram as its (immutable)
-/// message payload, so the origin needs no connection state.
-struct RequestInfo : net::Payload {
-  std::uint32_t home = 0;
-  std::uint32_t rank = 0;
-  std::uint64_t bytes = 0;
-  RequestInfo(std::uint32_t h, std::uint32_t r, std::uint64_t b)
-      : home(h), rank(r), bytes(b) {}
-  std::size_t wire_size() const override { return 16; }
-};
-
-struct HomeState {
-  util::Rng rng{0};
-  std::uint64_t requests = 0;
-  std::uint64_t rx_pkts = 0;
-  std::uint64_t rx_bytes = 0;
-};
-
-std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-/// Everything one day run owns. Heap-allocated so event closures can hold
-/// a stable pointer.
-struct DayCtx {
-  const DayConfig& cfg;
-  sim::Simulator build_sim;
-  util::Rng rng;
-  /// Declared before net so it is destroyed after it: when the day ends
-  /// mid-traffic, link queues still hold PooledPackets whose pools live in
-  /// the engine's shard simulators, and releasing a packet needs its pool.
-  std::unique_ptr<Engine> eng;
-  net::Network net;
-  metro::MetroTopology topo;
-  metro::ShardPlan plan;
-  std::unique_ptr<metro::WorkloadModel> model;
-  std::vector<HomeState> homes;
-  std::uint64_t origin_requests = 0;
-  std::uint64_t origin_chunks = 0;
-  std::vector<std::unique_ptr<fault::ChaosController>> chaos;
-
-  explicit DayCtx(const DayConfig& c)
-      : cfg(c), rng(c.seed), net(build_sim, rng.fork()) {}
-
-  void schedule_arrival(std::size_t h, util::TimePoint after) {
-    util::TimePoint t = model->next_arrival(topo, h, after, homes[h].rng);
-    if (t >= cfg.day) return;
-    const std::size_t p = plan.of_home(topo, h);
-    eng->sim(p).schedule_at(t, [this, h] { fire_request(h); });
+class UdpDay final : public ShardedDay {
+ public:
+  explicit UdpDay(const DayConfig& c) : ShardedDay(c), rx(homes.size()) {
+    for (std::size_t h = 0; h < topo.homes.size(); ++h) {
+      topo.homes[h]->set_transport_handler(
+          [this, h](net::PooledPacket pkt, net::Interface&) {
+            if (pkt->udp.dst_port != kRespPort) return;
+            ++rx[h].pkts;
+            rx[h].bytes += pkt->payload_len;
+          });
+    }
+    topo.origins[0]->set_transport_handler(
+        [this](net::PooledPacket pkt, net::Interface&) {
+          if (pkt->udp.dst_port != kReqPort) return;
+          serve_request(*pkt);
+        });
   }
 
-  void fire_request(std::size_t h) {
-    const std::size_t p = plan.of_home(topo, h);
-    sim::Simulator& sim = eng->sim(p);
-    HomeState& hs = homes[h];
-    const std::size_t rank = model->draw_object(topo, h, sim.now(), hs.rng);
-    const std::uint64_t bytes = model->catalog().bytes_of(rank);
-    net::PooledPacket q = eng->pool(p).acquire();
+  DayResult finish() {
+    DayResult r;
+    run(r);
+    r.requests = requests();
+    for (const HomeRx& hr : rx) {
+      r.rx_pkts += hr.pkts;
+      r.rx_bytes += hr.bytes;
+    }
+    r.chunks = origin_chunks;
+    std::string body;
+    appendf(body,
+            "requests=%" PRIu64 " served=%" PRIu64 " chunks=%" PRIu64
+            " rx_pkts=%" PRIu64 " rx_bytes=%" PRIu64 "\n",
+            r.requests, origin_requests, r.chunks, r.rx_pkts, r.rx_bytes);
+    r.report = report("psim-day", r, body, pop_hash([this](std::size_t h) {
+                        return std::pair(rx[h].pkts, rx[h].bytes);
+                      }));
+    return r;
+  }
+
+ private:
+  void fire_request(std::size_t h,
+                    std::shared_ptr<RequestInfo> request) override {
+    net::Host* home = topo.homes[h];
+    net::PooledPacket q = home->packet_pool().acquire();
     q->src = topo.home_address(h);
     q->dst = topo.origins[0]->address();
     q->proto = net::Proto::kUdp;
     q->udp.src_port = kReqPort;
     q->udp.dst_port = kReqPort;
     q->payload_len = kReqWire;
-    q->messages.push_back(
-        {kReqWire, std::make_shared<RequestInfo>(
-                       static_cast<std::uint32_t>(h),
-                       static_cast<std::uint32_t>(rank), bytes)});
-    topo.homes[h]->send_packet(std::move(q));
-    ++hs.requests;
-    schedule_arrival(h, sim.now());
+    q->messages.push_back({kReqWire, std::move(request)});
+    home->send_packet(std::move(q));
   }
 
   void serve_request(const net::Packet& req) {
@@ -106,16 +75,14 @@ struct DayCtx {
     const auto* info =
         static_cast<const RequestInfo*>(req.messages[0].message.get());
     ++origin_requests;
-    const std::size_t core_p = plan.core_partition;
     net::Host* origin = topo.origins[0];
-    const net::IpAddr dst = req.src;
     std::uint64_t remaining = info->bytes;
     while (remaining > 0) {
       const std::size_t chunk =
           std::min<std::uint64_t>(remaining, kChunkBytes);
-      net::PooledPacket q = eng->pool(core_p).acquire();
+      net::PooledPacket q = origin->packet_pool().acquire();
       q->src = origin->address();
-      q->dst = dst;
+      q->dst = req.src;
       q->proto = net::Proto::kUdp;
       q->udp.src_port = kRespPort;
       q->udp.dst_port = kRespPort;
@@ -125,178 +92,20 @@ struct DayCtx {
       remaining -= chunk;
     }
   }
+
+  /// Response traffic a home received (written by the home's shard).
+  struct HomeRx {
+    std::uint64_t pkts = 0;
+    std::uint64_t bytes = 0;
+  };
+  std::vector<HomeRx> rx;
+  // Written by the core shard only.
+  std::uint64_t origin_requests = 0;
+  std::uint64_t origin_chunks = 0;
 };
 
 }  // namespace
 
-DayResult run_day(const DayConfig& cfg) {
-  DayCtx ctx(cfg);
-
-  metro::MetroParams mp;
-  mp.homes = cfg.homes;
-  mp.origins = 1;
-  util::Rng topo_rng = ctx.rng.fork();
-  ctx.topo = metro::build_metro(ctx.net, mp, topo_rng);
-  ctx.plan = metro::plan_shards(ctx.topo);
-
-  Engine::Config ec;
-  ec.workers = cfg.workers;
-  ec.ring_slots = cfg.ring_slots;
-  ec.lookahead = ctx.plan.lookahead;
-  ctx.eng = std::make_unique<Engine>(ec);
-  for (std::size_t p = 0; p < ctx.plan.partitions; ++p) {
-    ctx.eng->add_partition();
-  }
-
-  for (const auto& link : ctx.net.links()) {
-    link->set_burst_limit(cfg.burst_limit);
-  }
-  for (std::size_t h = 0; h < ctx.topo.homes.size(); ++h) {
-    ctx.eng->bind_local(ctx.topo.access_links[h], ctx.plan.of_home(ctx.topo, h));
-  }
-  for (std::size_t d = 0; d < ctx.topo.dslams.size(); ++d) {
-    ctx.eng->bind_local(ctx.topo.dslam_uplinks[d],
-                        ctx.plan.of_dslam(ctx.topo, d));
-  }
-  const std::size_t core_p = ctx.plan.core_partition;
-  for (std::size_t p = 0; p < ctx.topo.pops.size(); ++p) {
-    net::Link* up = ctx.topo.pop_uplinks[p];
-    ctx.eng->bind_boundary(up, 0, p, core_p);  // pop -> core
-    ctx.eng->bind_boundary(up, 1, core_p, p);  // core -> pop
-  }
-  for (net::Link* ol : ctx.topo.origin_links) {
-    ctx.eng->bind_local(ol, core_p);
-  }
-
-  metro::DiurnalCurve curve = metro::DiurnalCurve::residential(cfg.day);
-  metro::ZipfCatalog catalog(cfg.catalog_objects, cfg.zipf_skew);
-  util::Rng plan_rng = ctx.rng.fork();
-  metro::EventPlan eplan = metro::EventPlan::generate(
-      ctx.topo, catalog, cfg.day, cfg.flash_crowds, /*outages=*/0, plan_rng);
-  ctx.model = std::make_unique<metro::WorkloadModel>(
-      curve, catalog, eplan, cfg.base_rate_per_home);
-
-  ctx.homes.resize(ctx.topo.homes.size());
-  for (std::size_t h = 0; h < ctx.homes.size(); ++h) {
-    ctx.homes[h].rng = util::Rng(cfg.seed ^ (0x9E3779B97F4A7C15ull *
-                                             static_cast<std::uint64_t>(h + 1)));
-    ctx.topo.homes[h]->set_transport_handler(
-        [ctxp = &ctx, h](net::PooledPacket pkt, net::Interface&) {
-          if (pkt->udp.dst_port != kRespPort) return;
-          ++ctxp->homes[h].rx_pkts;
-          ctxp->homes[h].rx_bytes += pkt->payload_len;
-        });
-  }
-  ctx.topo.origins[0]->set_transport_handler(
-      [ctxp = &ctx](net::PooledPacket pkt, net::Interface&) {
-        if (pkt->udp.dst_port != kReqPort) return;
-        ctxp->serve_request(*pkt);
-      });
-
-  // Chaos, routed to the owning shard: each controller schedules on its
-  // shard's simulator, so the fault fires on the worker that owns the
-  // targeted subtree. Boundary links are never touched (see Engine).
-  if (cfg.chaos && ctx.topo.pops.size() >= 3) {
-    const std::size_t d1 = 1 * mp.dslams_per_pop;  // a DSLAM inside PoP 1
-    auto c1 = std::make_unique<fault::ChaosController>(ctx.eng->sim(1),
-                                                       ctx.rng.fork());
-    c1->register_node(ctx.topo.dslams[d1]->name(), ctx.topo.dslams[d1]);
-    c1->crash_at(ctx.topo.dslams[d1]->name(), cfg.day * 3 / 10,
-                 cfg.day / 10);
-    ctx.chaos.push_back(std::move(c1));
-
-    const std::size_t d2 = 2 * mp.dslams_per_pop;  // a DSLAM inside PoP 2
-    auto c2 = std::make_unique<fault::ChaosController>(ctx.eng->sim(2),
-                                                       ctx.rng.fork());
-    const auto [first, last] = ctx.topo.homes_of_dslam(d2);
-    std::vector<net::Node*> cut_homes;
-    for (std::size_t h = first; h < last; ++h) {
-      cut_homes.push_back(ctx.topo.homes[h]);
-    }
-    c2->partition_at(std::move(cut_homes), {}, cfg.day * 45 / 100,
-                     cfg.day * 15 / 100);
-    ctx.chaos.push_back(std::move(c2));
-  }
-
-  for (std::size_t h = 0; h < ctx.homes.size(); ++h) {
-    ctx.schedule_arrival(h, 0);
-  }
-
-  const auto wall0 = std::chrono::steady_clock::now();
-  ctx.eng->run_until(cfg.day);
-  const auto wall1 = std::chrono::steady_clock::now();
-
-  DayResult r;
-  r.wall_s = std::chrono::duration<double>(wall1 - wall0).count();
-  for (const HomeState& hs : ctx.homes) {
-    r.requests += hs.requests;
-    r.rx_pkts += hs.rx_pkts;
-    r.rx_bytes += hs.rx_bytes;
-  }
-  r.chunks = ctx.origin_chunks;
-  r.events = ctx.eng->events_executed();
-  r.epochs = ctx.eng->stats().epochs;
-  r.crossings = ctx.eng->stats().crossings;
-  r.spilled = ctx.eng->stats().spilled;
-  for (const auto& c : ctx.chaos) {
-    r.chaos_crashes += c->stats().crashes;
-    r.chaos_restarts += c->stats().restarts;
-    r.partition_drops += c->stats().partition_drops;
-  }
-
-  // Per-PoP aggregate hash: catches any reordering that shifts traffic
-  // between subtrees without changing the global totals.
-  std::uint64_t pop_hash = 14695981039346656037ull;
-  {
-    std::vector<std::uint64_t> pop_pkts(ctx.topo.pops.size(), 0);
-    std::vector<std::uint64_t> pop_bytes(ctx.topo.pops.size(), 0);
-    for (std::size_t h = 0; h < ctx.homes.size(); ++h) {
-      const std::size_t p = ctx.topo.pop_of_home(h);
-      pop_pkts[p] += ctx.homes[h].rx_pkts;
-      pop_bytes[p] += ctx.homes[h].rx_bytes;
-    }
-    for (std::size_t p = 0; p < pop_pkts.size(); ++p) {
-      pop_hash = fnv_u64(pop_hash, pop_pkts[p]);
-      pop_hash = fnv_u64(pop_hash, pop_bytes[p]);
-    }
-  }
-  std::uint64_t shard_hash = 14695981039346656037ull;
-  for (std::uint64_t f : ctx.plan.fingerprints) {
-    shard_hash = fnv_u64(shard_hash, f);
-  }
-
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "psim-day homes=%zu pops=%zu partitions=%zu day_ms=%" PRId64
-                " seed=%" PRIu64 "\n",
-                ctx.topo.homes.size(), ctx.topo.pops.size(), ctx.plan.partitions,
-                cfg.day / util::kMillisecond, cfg.seed);
-  r.report += line;
-  std::snprintf(line, sizeof(line),
-                "topology fp=%016" PRIx64 " shards fp=%016" PRIx64
-                " lookahead_us=%" PRId64 "\n",
-                ctx.topo.fingerprint(), shard_hash,
-                ctx.plan.lookahead / util::kMicrosecond);
-  r.report += line;
-  std::snprintf(line, sizeof(line),
-                "requests=%" PRIu64 " served=%" PRIu64 " chunks=%" PRIu64
-                " rx_pkts=%" PRIu64 " rx_bytes=%" PRIu64 "\n",
-                r.requests, ctx.origin_requests, r.chunks, r.rx_pkts,
-                r.rx_bytes);
-  r.report += line;
-  std::snprintf(line, sizeof(line), "per-pop hash=%016" PRIx64 "\n", pop_hash);
-  r.report += line;
-  std::snprintf(line, sizeof(line),
-                "chaos crashes=%" PRIu64 " restarts=%" PRIu64
-                " partition_drops=%" PRIu64 "\n",
-                r.chaos_crashes, r.chaos_restarts, r.partition_drops);
-  r.report += line;
-  std::snprintf(line, sizeof(line),
-                "events=%" PRIu64 " epochs=%" PRIu64 " crossings=%" PRIu64
-                " spilled=%" PRIu64 "\n",
-                r.events, r.epochs, r.crossings, r.spilled);
-  r.report += line;
-  return r;
-}
+DayResult run_day(const DayConfig& cfg) { return UdpDay(cfg).finish(); }
 
 }  // namespace hpop::psim

@@ -1,139 +1,103 @@
 #include "psim/tcp_day.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <cinttypes>
-#include <cstdio>
 #include <memory>
+#include <utility>
 #include <vector>
 
-#include "fault/fault.hpp"
-#include "metro/partition.hpp"
-#include "metro/topology.hpp"
-#include "metro/workload.hpp"
-#include "net/network.hpp"
-#include "psim/engine.hpp"
+#include "psim/sharded_day.hpp"
 #include "transport/mux.hpp"
-#include "util/rng.hpp"
 
 namespace hpop::psim {
 
 namespace {
 
 constexpr std::uint16_t kTcpPort = 80;
+/// Every Nth home fetches over MPTCP with one extra subflow.
+constexpr std::size_t kMptcpEvery = 16;
 
-/// The request message: rides the TCP stream as a 16-byte framed payload,
-/// so the origin learns what to send back without any out-of-band state.
-struct RequestInfo : net::Payload {
-  std::uint32_t home = 0;
-  std::uint32_t rank = 0;
-  std::uint64_t bytes = 0;
-  RequestInfo(std::uint32_t h, std::uint32_t r, std::uint64_t b)
-      : home(h), rank(r), bytes(b) {}
-  std::size_t wire_size() const override { return 16; }
-};
+using MptcpLive = std::vector<std::shared_ptr<transport::MptcpConnection>>;
 
-struct HomeState {
-  util::Rng rng{0};
-  std::uint64_t conns = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t rx_bytes = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t mptcp_sessions = 0;
-  /// The mux only holds MPTCP sessions weakly, so the client keeps its
-  /// live sessions here (owned by the home's shard; erased — deferred one
-  /// event — when the session closes).
-  std::vector<std::shared_ptr<transport::MptcpConnection>> mp_live;
-};
-
-std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-/// Everything one TCP day run owns. Heap-allocated so event closures can
-/// hold a stable pointer. Declaration order is destruction order reversed,
-/// and it matters twice: `eng` precedes `net` (link queues still hold
-/// pooled packets whose pools live in the shard simulators), and the muxes
-/// come last of all — ~TransportMux detaches every connection, which
-/// cancels RTO/delayed-ack timers on shard simulators that must still be
-/// alive, and leaves the connection objects inert before anything that
-/// might still reference them is torn down.
-struct TcpDayCtx {
-  const TcpDayConfig& cfg;
-  sim::Simulator build_sim;
-  util::Rng rng;
-  std::unique_ptr<Engine> eng;
-  net::Network net;
-  metro::MetroTopology topo;
-  metro::ShardPlan plan;
-  std::unique_ptr<metro::WorkloadModel> model;
-  std::vector<HomeState> homes;
-  std::uint64_t origin_served = 0;
-  std::uint64_t origin_tx_bytes = 0;
-  /// Accepted MPTCP sessions, owned by the core shard (same weak-mux
-  /// reasoning as HomeState::mp_live).
-  std::vector<std::shared_ptr<transport::MptcpConnection>> origin_mp_live;
-  std::vector<std::unique_ptr<fault::ChaosController>> chaos;
-  std::vector<std::unique_ptr<transport::TransportMux>> home_muxes;
-  std::unique_ptr<transport::TransportMux> origin_mux;
-
-  explicit TcpDayCtx(const TcpDayConfig& c)
-      : cfg(c), rng(c.seed), net(build_sim, rng.fork()) {}
-
-  net::Endpoint origin_endpoint() const {
-    return {topo.origins[0]->address(), kTcpPort};
-  }
-
-  void schedule_arrival(std::size_t h, util::TimePoint after) {
-    util::TimePoint t = model->next_arrival(topo, h, after, homes[h].rng);
-    if (t >= cfg.day) return;
-    const std::size_t p = plan.of_home(topo, h);
-    eng->sim(p).schedule_at(t, [this, h] { fire_request(h); });
-  }
-
-  void account_close(std::size_t h, const char* error, std::uint64_t rexmit,
-                     std::uint64_t tmo) {
-    HomeState& hs = homes[h];
-    hs.retransmits += rexmit;
-    hs.timeouts += tmo;
-    if (error == nullptr) {
-      ++hs.completed;
-    } else {
-      ++hs.failed;
+class TcpDay final : public ShardedDay {
+ public:
+  explicit TcpDay(const DayConfig& c) : ShardedDay(c), tcp(homes.size()) {
+    home_muxes.resize(topo.homes.size());
+    for (std::size_t h = 0; h < topo.homes.size(); ++h) {
+      home_muxes[h] = std::make_unique<transport::TransportMux>(*topo.homes[h]);
     }
+    origin_mux = std::make_unique<transport::TransportMux>(*topo.origins[0]);
+    transport::TcpOptions lopts;
+    lopts.mp_capable = true;  // accepts both MPTCP sessions and plain TCP
+    auto listener = origin_mux->tcp_listen(kTcpPort, lopts);
+    listener->set_on_accept(
+        [this](std::shared_ptr<transport::TcpConnection> conn) {
+          transport::TcpConnection* c = conn.get();
+          c->set_on_message([this, c](net::PayloadPtr msg) {
+            serve(c, *static_cast<const RequestInfo*>(msg.get()));
+          });
+        });
+    listener->set_on_accept_mptcp(
+        [this](std::shared_ptr<transport::MptcpConnection> session) {
+          transport::MptcpConnection* c = session.get();
+          origin_mp_live.push_back(std::move(session));
+          c->set_on_message([this, c](net::PayloadPtr msg) {
+            serve(c, *static_cast<const RequestInfo*>(msg.get()));
+          });
+          auto release = [this, c] {
+            release_mptcp(origin_mp_live, topo.origins[0]->simulator(), c);
+          };
+          c->set_on_closed(release);
+          c->set_on_reset(release);
+        });
   }
 
-  void fire_request(std::size_t h) {
-    const std::size_t p = plan.of_home(topo, h);
-    sim::Simulator& sim = eng->sim(p);
-    HomeState& hs = homes[h];
-    const std::size_t rank = model->draw_object(topo, h, sim.now(), hs.rng);
-    const std::uint64_t bytes = model->catalog().bytes_of(rank);
-    auto request = std::make_shared<RequestInfo>(
-        static_cast<std::uint32_t>(h), static_cast<std::uint32_t>(rank),
-        bytes);
+  TcpDayResult finish() {
+    TcpDayResult r;
+    run(r);
+    r.conns = requests();
+    for (const HomeTcp& ht : tcp) {
+      r.completed += ht.completed;
+      r.failed += ht.failed;
+      r.rx_bytes += ht.rx_bytes;
+      r.retransmits += ht.retransmits;
+      r.timeouts += ht.timeouts;
+      r.mptcp_sessions += ht.mptcp_sessions;
+    }
+    r.origin_served = origin_served;
+    r.origin_tx_bytes = origin_tx_bytes;
+    std::string body;
+    appendf(body,
+            "conns=%" PRIu64 " completed=%" PRIu64 " failed=%" PRIu64
+            " mptcp=%" PRIu64 " rx_bytes=%" PRIu64 "\n",
+            r.conns, r.completed, r.failed, r.mptcp_sessions, r.rx_bytes);
+    appendf(body, "origin served=%" PRIu64 " tx_bytes=%" PRIu64 "\n",
+            r.origin_served, r.origin_tx_bytes);
+    appendf(body, "tcp retransmits=%" PRIu64 " timeouts=%" PRIu64 "\n",
+            r.retransmits, r.timeouts);
+    r.report = report("psim-tcp-day", r, body, pop_hash([this](std::size_t h) {
+                        return std::pair(tcp[h].completed, tcp[h].rx_bytes);
+                      }));
+    return r;
+  }
+
+ private:
+  void fire_request(std::size_t h,
+                    std::shared_ptr<RequestInfo> request) override {
+    HomeTcp& ht = tcp[h];
     transport::TransportMux& mux = *home_muxes[h];
-    const bool use_mptcp = cfg.mptcp_every != 0 && h % cfg.mptcp_every == 0;
-    if (use_mptcp) {
-      auto conn = mux.mptcp_connect(origin_endpoint());
+    const net::Endpoint origin{topo.origins[0]->address(), kTcpPort};
+    if (h % kMptcpEvery == 0) {
+      auto conn = mux.mptcp_connect(origin);
       transport::MptcpConnection* c = conn.get();
-      hs.mp_live.push_back(conn);
-      ++hs.mptcp_sessions;
+      ht.mp_live.push_back(conn);
+      ++ht.mptcp_sessions;
       conn->set_on_established([c, request] {
         c->add_subflow({});
         c->send(request);
         c->close();
       });
-      conn->set_on_bytes([this, h](std::size_t n) {
-        homes[h].rx_bytes += n;
-      });
-      conn->set_on_closed([this, h, c] {
+      conn->set_on_bytes([this, h](std::size_t n) { tcp[h].rx_bytes += n; });
+      auto done = [this, h, c] {
         std::uint64_t rexmit = 0;
         std::uint64_t tmo = 0;
         for (const auto& sf : c->subflows()) {
@@ -141,46 +105,42 @@ struct TcpDayCtx {
           tmo += sf.conn->timeouts();
         }
         account_close(h, c->last_error(), rexmit, tmo);
-        release_mptcp(homes[h].mp_live, h, c);
-      });
-      conn->set_on_reset([this, h, c] {
-        std::uint64_t rexmit = 0;
-        std::uint64_t tmo = 0;
-        for (const auto& sf : c->subflows()) {
-          rexmit += sf.conn->retransmits();
-          tmo += sf.conn->timeouts();
-        }
-        account_close(h, c->last_error(), rexmit, tmo);
-        release_mptcp(homes[h].mp_live, h, c);
-      });
+        release_mptcp(tcp[h].mp_live, topo.homes[h]->simulator(), c);
+      };
+      conn->set_on_closed(done);
+      conn->set_on_reset(done);
     } else {
-      auto conn = mux.tcp_connect(origin_endpoint());
+      auto conn = mux.tcp_connect(origin);
       transport::TcpConnection* c = conn.get();
       conn->set_on_established([c, request] {
         c->send(request);
         c->close();
       });
-      conn->set_on_bytes([this, h](std::size_t n) {
-        homes[h].rx_bytes += n;
-      });
+      conn->set_on_bytes([this, h](std::size_t n) { tcp[h].rx_bytes += n; });
       conn->set_on_closed([this, h, c] {
         account_close(h, c->last_error(), c->retransmits(), c->timeouts());
       });
     }
-    ++hs.conns;
-    schedule_arrival(h, sim.now());
   }
 
-  /// Drops the owning reference one event later: the session is mid-way
-  /// through its own close callback, so erasing the shared_ptr here would
-  /// destroy it under its own feet.
-  void release_mptcp(
-      std::vector<std::shared_ptr<transport::MptcpConnection>>& live,
-      std::size_t shard_home, transport::MptcpConnection* c) {
-    const std::size_t p = shard_home == SIZE_MAX
-                              ? plan.core_partition
-                              : plan.of_home(topo, shard_home);
-    eng->sim(p).schedule(0, [&live, c] {
+  void account_close(std::size_t h, const char* error, std::uint64_t rexmit,
+                     std::uint64_t tmo) {
+    HomeTcp& ht = tcp[h];
+    ht.retransmits += rexmit;
+    ht.timeouts += tmo;
+    if (error == nullptr) {
+      ++ht.completed;
+    } else {
+      ++ht.failed;
+    }
+  }
+
+  /// Drops the owning reference one event later, on the shard that owns
+  /// `live`: the session is mid-way through its own close callback, so
+  /// erasing the shared_ptr here would destroy it under its own feet.
+  static void release_mptcp(MptcpLive& live, sim::Simulator& shard,
+                            transport::MptcpConnection* c) {
+    shard.schedule(0, [&live, c] {
       for (auto it = live.begin(); it != live.end(); ++it) {
         if (it->get() == c) {
           live.erase(it);
@@ -190,231 +150,41 @@ struct TcpDayCtx {
     });
   }
 
-  void serve(transport::TcpConnection* c, const RequestInfo& info) {
+  template <typename Conn>
+  void serve(Conn* c, const RequestInfo& info) {
     ++origin_served;
     origin_tx_bytes += info.bytes;
     c->send_bytes(info.bytes);
     c->close();
   }
 
-  void serve_mptcp(transport::MptcpConnection* c, const RequestInfo& info) {
-    ++origin_served;
-    origin_tx_bytes += info.bytes;
-    c->send_bytes(info.bytes);
-    c->close();
-  }
+  /// A home's transfers (written by the home's shard).
+  struct HomeTcp {
+    std::uint64_t completed = 0;
+    std::uint64_t failed = 0;
+    std::uint64_t rx_bytes = 0;
+    std::uint64_t retransmits = 0;
+    std::uint64_t timeouts = 0;
+    std::uint64_t mptcp_sessions = 0;
+    /// The mux only holds MPTCP sessions weakly, so the client keeps its
+    /// live sessions here until release_mptcp drops them.
+    MptcpLive mp_live;
+  };
+  std::vector<HomeTcp> tcp;
+  // Written by the core shard only.
+  std::uint64_t origin_served = 0;
+  std::uint64_t origin_tx_bytes = 0;
+  /// Accepted MPTCP sessions (same weak-mux reasoning as HomeTcp::mp_live).
+  MptcpLive origin_mp_live;
+  // Last, so destroyed first: see ShardedDay.
+  std::vector<std::unique_ptr<transport::TransportMux>> home_muxes;
+  std::unique_ptr<transport::TransportMux> origin_mux;
 };
 
 }  // namespace
 
 TcpDayResult run_tcp_day(const TcpDayConfig& cfg) {
-  TcpDayCtx ctx(cfg);
-
-  metro::MetroParams mp;
-  mp.homes = cfg.homes;
-  mp.origins = 1;
-  util::Rng topo_rng = ctx.rng.fork();
-  ctx.topo = metro::build_metro(ctx.net, mp, topo_rng);
-  ctx.plan = metro::plan_shards(ctx.topo);
-
-  Engine::Config ec;
-  ec.workers = cfg.workers;
-  ec.ring_slots = cfg.ring_slots;
-  ec.lookahead = ctx.plan.lookahead;
-  ctx.eng = std::make_unique<Engine>(ec);
-  for (std::size_t p = 0; p < ctx.plan.partitions; ++p) {
-    ctx.eng->add_partition();
-  }
-
-  for (const auto& link : ctx.net.links()) {
-    link->set_burst_limit(cfg.burst_limit);
-  }
-  for (std::size_t h = 0; h < ctx.topo.homes.size(); ++h) {
-    ctx.eng->bind_local(ctx.topo.access_links[h], ctx.plan.of_home(ctx.topo, h));
-  }
-  for (std::size_t d = 0; d < ctx.topo.dslams.size(); ++d) {
-    ctx.eng->bind_local(ctx.topo.dslam_uplinks[d],
-                        ctx.plan.of_dslam(ctx.topo, d));
-  }
-  const std::size_t core_p = ctx.plan.core_partition;
-  for (std::size_t p = 0; p < ctx.topo.pops.size(); ++p) {
-    net::Link* up = ctx.topo.pop_uplinks[p];
-    ctx.eng->bind_boundary(up, 0, p, core_p);  // pop -> core
-    ctx.eng->bind_boundary(up, 1, core_p, p);  // core -> pop
-  }
-  for (net::Link* ol : ctx.topo.origin_links) {
-    ctx.eng->bind_local(ol, core_p);
-  }
-
-  // Re-home the endpoints into their shards BEFORE any transport state
-  // exists: a TransportMux resolves its host's simulator and packet pool
-  // dynamically, so once the host is bound, every connection it opens
-  // schedules timers and builds segments in the owning shard.
-  for (std::size_t h = 0; h < ctx.topo.homes.size(); ++h) {
-    ctx.topo.homes[h]->bind_shard(ctx.eng->sim(ctx.plan.of_home(ctx.topo, h)));
-  }
-  ctx.topo.origins[0]->bind_shard(ctx.eng->sim(core_p));
-
-  metro::DiurnalCurve curve = metro::DiurnalCurve::residential(cfg.day);
-  metro::ZipfCatalog catalog(cfg.catalog_objects, cfg.zipf_skew);
-  util::Rng plan_rng = ctx.rng.fork();
-  metro::EventPlan eplan = metro::EventPlan::generate(
-      ctx.topo, catalog, cfg.day, cfg.flash_crowds, /*outages=*/0, plan_rng);
-  ctx.model = std::make_unique<metro::WorkloadModel>(
-      curve, catalog, eplan, cfg.base_rate_per_home);
-
-  ctx.homes.resize(ctx.topo.homes.size());
-  ctx.home_muxes.resize(ctx.topo.homes.size());
-  for (std::size_t h = 0; h < ctx.homes.size(); ++h) {
-    ctx.homes[h].rng = util::Rng(cfg.seed ^ (0x9E3779B97F4A7C15ull *
-                                             static_cast<std::uint64_t>(h + 1)));
-    ctx.home_muxes[h] =
-        std::make_unique<transport::TransportMux>(*ctx.topo.homes[h]);
-  }
-
-  ctx.origin_mux =
-      std::make_unique<transport::TransportMux>(*ctx.topo.origins[0]);
-  transport::TcpOptions lopts;
-  lopts.mp_capable = true;  // accepts both MPTCP sessions and plain TCP
-  auto listener = ctx.origin_mux->tcp_listen(kTcpPort, lopts);
-  listener->set_on_accept(
-      [ctxp = &ctx](std::shared_ptr<transport::TcpConnection> conn) {
-        transport::TcpConnection* c = conn.get();
-        c->set_on_message([ctxp, c](net::PayloadPtr msg) {
-          ctxp->serve(c, *static_cast<const RequestInfo*>(msg.get()));
-        });
-      });
-  listener->set_on_accept_mptcp(
-      [ctxp = &ctx](std::shared_ptr<transport::MptcpConnection> session) {
-        transport::MptcpConnection* c = session.get();
-        ctxp->origin_mp_live.push_back(std::move(session));
-        c->set_on_message([ctxp, c](net::PayloadPtr msg) {
-          ctxp->serve_mptcp(c, *static_cast<const RequestInfo*>(msg.get()));
-        });
-        c->set_on_closed([ctxp, c] {
-          ctxp->release_mptcp(ctxp->origin_mp_live, SIZE_MAX, c);
-        });
-        c->set_on_reset([ctxp, c] {
-          ctxp->release_mptcp(ctxp->origin_mp_live, SIZE_MAX, c);
-        });
-      });
-
-  // Chaos, routed to the owning shard, exactly as in the UDP day — except
-  // that here the victims carry live TCP state, so the faults exercise RTO
-  // backoff, SACK recovery, and connection failure across the shard cut.
-  if (cfg.chaos && ctx.topo.pops.size() >= 3) {
-    const std::size_t d1 = 1 * mp.dslams_per_pop;  // a DSLAM inside PoP 1
-    auto c1 = std::make_unique<fault::ChaosController>(ctx.eng->sim(1),
-                                                       ctx.rng.fork());
-    c1->register_node(ctx.topo.dslams[d1]->name(), ctx.topo.dslams[d1]);
-    c1->crash_at(ctx.topo.dslams[d1]->name(), cfg.day * 3 / 10,
-                 cfg.day / 10);
-    ctx.chaos.push_back(std::move(c1));
-
-    const std::size_t d2 = 2 * mp.dslams_per_pop;  // a DSLAM inside PoP 2
-    auto c2 = std::make_unique<fault::ChaosController>(ctx.eng->sim(2),
-                                                       ctx.rng.fork());
-    const auto [first, last] = ctx.topo.homes_of_dslam(d2);
-    std::vector<net::Node*> cut_homes;
-    for (std::size_t h = first; h < last; ++h) {
-      cut_homes.push_back(ctx.topo.homes[h]);
-    }
-    c2->partition_at(std::move(cut_homes), {}, cfg.day * 45 / 100,
-                     cfg.day * 15 / 100);
-    ctx.chaos.push_back(std::move(c2));
-  }
-
-  for (std::size_t h = 0; h < ctx.homes.size(); ++h) {
-    ctx.schedule_arrival(h, 0);
-  }
-
-  const auto wall0 = std::chrono::steady_clock::now();
-  ctx.eng->run_until(cfg.day);
-  const auto wall1 = std::chrono::steady_clock::now();
-
-  TcpDayResult r;
-  r.wall_s = std::chrono::duration<double>(wall1 - wall0).count();
-  for (const HomeState& hs : ctx.homes) {
-    r.conns += hs.conns;
-    r.completed += hs.completed;
-    r.failed += hs.failed;
-    r.rx_bytes += hs.rx_bytes;
-    r.retransmits += hs.retransmits;
-    r.timeouts += hs.timeouts;
-    r.mptcp_sessions += hs.mptcp_sessions;
-  }
-  r.origin_served = ctx.origin_served;
-  r.origin_tx_bytes = ctx.origin_tx_bytes;
-  r.events = ctx.eng->events_executed();
-  r.epochs = ctx.eng->stats().epochs;
-  r.crossings = ctx.eng->stats().crossings;
-  r.spilled = ctx.eng->stats().spilled;
-  for (const auto& c : ctx.chaos) {
-    r.chaos_crashes += c->stats().crashes;
-    r.chaos_restarts += c->stats().restarts;
-    r.partition_drops += c->stats().partition_drops;
-  }
-
-  // Per-PoP aggregate hash: catches any reordering that shifts transfers
-  // between subtrees without changing the global totals.
-  std::uint64_t pop_hash = 14695981039346656037ull;
-  {
-    std::vector<std::uint64_t> pop_done(ctx.topo.pops.size(), 0);
-    std::vector<std::uint64_t> pop_bytes(ctx.topo.pops.size(), 0);
-    for (std::size_t h = 0; h < ctx.homes.size(); ++h) {
-      const std::size_t p = ctx.topo.pop_of_home(h);
-      pop_done[p] += ctx.homes[h].completed;
-      pop_bytes[p] += ctx.homes[h].rx_bytes;
-    }
-    for (std::size_t p = 0; p < pop_done.size(); ++p) {
-      pop_hash = fnv_u64(pop_hash, pop_done[p]);
-      pop_hash = fnv_u64(pop_hash, pop_bytes[p]);
-    }
-  }
-  std::uint64_t shard_hash = 14695981039346656037ull;
-  for (std::uint64_t f : ctx.plan.fingerprints) {
-    shard_hash = fnv_u64(shard_hash, f);
-  }
-
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "psim-tcp-day homes=%zu pops=%zu partitions=%zu"
-                " day_ms=%" PRId64 " seed=%" PRIu64 "\n",
-                ctx.topo.homes.size(), ctx.topo.pops.size(),
-                ctx.plan.partitions, cfg.day / util::kMillisecond, cfg.seed);
-  r.report += line;
-  std::snprintf(line, sizeof(line),
-                "topology fp=%016" PRIx64 " shards fp=%016" PRIx64
-                " lookahead_us=%" PRId64 "\n",
-                ctx.topo.fingerprint(), shard_hash,
-                ctx.plan.lookahead / util::kMicrosecond);
-  r.report += line;
-  std::snprintf(line, sizeof(line),
-                "conns=%" PRIu64 " completed=%" PRIu64 " failed=%" PRIu64
-                " mptcp=%" PRIu64 " rx_bytes=%" PRIu64 "\n",
-                r.conns, r.completed, r.failed, r.mptcp_sessions, r.rx_bytes);
-  r.report += line;
-  std::snprintf(line, sizeof(line),
-                "origin served=%" PRIu64 " tx_bytes=%" PRIu64 "\n",
-                r.origin_served, r.origin_tx_bytes);
-  r.report += line;
-  std::snprintf(line, sizeof(line),
-                "tcp retransmits=%" PRIu64 " timeouts=%" PRIu64 "\n",
-                r.retransmits, r.timeouts);
-  r.report += line;
-  std::snprintf(line, sizeof(line), "per-pop hash=%016" PRIx64 "\n", pop_hash);
-  r.report += line;
-  std::snprintf(line, sizeof(line),
-                "chaos crashes=%" PRIu64 " restarts=%" PRIu64
-                " partition_drops=%" PRIu64 "\n",
-                r.chaos_crashes, r.chaos_restarts, r.partition_drops);
-  r.report += line;
-  std::snprintf(line, sizeof(line),
-                "events=%" PRIu64 " epochs=%" PRIu64 " crossings=%" PRIu64
-                " spilled=%" PRIu64 "\n",
-                r.events, r.epochs, r.crossings, r.spilled);
-  r.report += line;
-  return r;
+  return TcpDay(cfg).finish();
 }
 
 }  // namespace hpop::psim

@@ -2,12 +2,51 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
 #include "util/types.hpp"
 
 namespace hpop::util {
+
+/// The standard 64-bit FNV-1a offset basis.
+inline constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
+/// A 19-digit truncation of kFnvOffset. The metro, attic, directory and WAL
+/// fingerprints were first written with it; they keep it so that stored
+/// checksums and recorded reports stay valid.
+inline constexpr std::uint64_t kFnvOffsetShort = 1469598103934665603ull;
+inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+/// Incremental 64-bit FNV-1a, for deterministic fingerprints and
+/// checksums (not for hash tables or anything adversarial).
+struct Fnv {
+  std::uint64_t h = kFnvOffset;
+
+  Fnv() = default;
+  explicit Fnv(std::uint64_t basis) : h(basis) {}
+
+  void mix_bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= kFnvPrime;
+    }
+  }
+  /// The value's 8 bytes, least significant first, on any host.
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= kFnvPrime;
+    }
+  }
+  void mix_double(double d) {
+    std::uint64_t bits;
+    static_assert(sizeof bits == sizeof d);
+    std::memcpy(&bits, &d, sizeof bits);
+    mix(bits);
+  }
+};
 
 /// A 256-bit digest.
 using Digest = std::array<std::uint8_t, 32>;

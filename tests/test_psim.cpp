@@ -196,6 +196,22 @@ TEST(PsimDay, ChaosFiresInsideNonZeroShards) {
   EXPECT_EQ(r.chaos_crashes, 1u);
   EXPECT_EQ(r.chaos_restarts, 1u);
   EXPECT_GT(r.partition_drops, 0u);
+  EXPECT_EQ(r.partition_heals, 1u);
+}
+
+TEST(PsimDay, ReportIsPinned) {
+  // The exact report of one fixed config: any change to the workload,
+  // topology, sharding, chaos or report code that moves an output fails
+  // here, not only in cross-worker comparisons of the same build.
+  EXPECT_EQ(psim::run_day(small_day(1)).report,
+            "psim-day homes=2000 pops=4 partitions=5 day_ms=5000 seed=42\n"
+            "topology fp=399ca9b6e94ca32c shards fp=df9d9d803b435846"
+            " lookahead_us=2000\n"
+            "requests=1078 served=1073 chunks=48891 rx_pkts=48871"
+            " rx_bytes=57942568\n"
+            "per-pop hash=b248ce12b2e54a47\n"
+            "chaos crashes=1 restarts=1 partition_drops=3\n"
+            "events=237233 epochs=1998 crossings=49965 spilled=0\n");
 }
 
 TEST(PsimDay, RingOverflowSpillsWithoutReordering) {
@@ -245,8 +261,23 @@ TEST(PsimTcpDay, ByteIdenticalAcrossWorkerCountsWithChaos) {
   EXPECT_EQ(w1.chaos_crashes, 1u);
   EXPECT_EQ(w1.chaos_restarts, 1u);
   EXPECT_GT(w1.partition_drops, 0u);
+  EXPECT_EQ(w1.partition_heals, 1u);
   EXPECT_EQ(w1.report, w2.report);
   EXPECT_EQ(w1.report, w4.report);
+}
+
+TEST(PsimTcpDay, ReportIsPinned) {
+  EXPECT_EQ(psim::run_tcp_day(small_tcp_day(1)).report,
+            "psim-tcp-day homes=2000 pops=4 partitions=5 day_ms=5000"
+            " seed=42\n"
+            "topology fp=399ca9b6e94ca32c shards fp=df9d9d803b435846"
+            " lookahead_us=2000\n"
+            "conns=1078 completed=1070 failed=0 mptcp=65 rx_bytes=55098789\n"
+            "origin served=1075 tx_bytes=58186203\n"
+            "tcp retransmits=0 timeouts=4\n"
+            "per-pop hash=8c443676d8c519f5\n"
+            "chaos crashes=1 restarts=1 partition_drops=3\n"
+            "events=634740 epochs=2390 crossings=86638 spilled=0\n");
 }
 
 TEST(PsimTcpDay, ServesRequestsEndToEnd) {

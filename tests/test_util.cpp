@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/encoding.hpp"
@@ -17,6 +19,35 @@
 
 namespace hpop::util {
 namespace {
+
+// ---------------------------------------------------------------- FNV-1a
+
+std::uint64_t fnv_of(std::string_view s) {
+  Fnv fnv;
+  fnv.mix_bytes(s.data(), s.size());
+  return fnv.h;
+}
+
+TEST(Fnv, ReferenceVectors) {
+  EXPECT_EQ(fnv_of(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv_of("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv_of("foobar"), 0x85944171f73967e8ull);
+}
+
+TEST(Fnv, MixesWordsLittleEndianFirst) {
+  const std::uint8_t le[8] = {0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01};
+  Fnv bytes(kFnvOffsetShort);
+  bytes.mix_bytes(le, sizeof le);
+  Fnv word(kFnvOffsetShort);
+  word.mix(0x0102030405060708ull);
+  EXPECT_EQ(word.h, bytes.h);
+
+  Fnv one;
+  one.mix_double(1.0);
+  Fnv bits;
+  bits.mix(0x3ff0000000000000ull);
+  EXPECT_EQ(one.h, bits.h);
+}
 
 // ---------------------------------------------------------------- SHA-256
 
