@@ -185,34 +185,27 @@ done
 
 cmake -B build-asan -S . -DHPOP_SANITIZE=ON
 cmake --build build-asan -j
-# detect_leaks=0: the transport layer keeps connections alive through
-# shared_ptr callback cycles (a known seed-era pattern), which LSan reports
-# at exit. Memory-error and UB detection — the point of this lane — stay on.
-ASAN_OPTIONS=detect_leaks=0 ctest --test-dir build-asan --output-on-failure \
-  --timeout 240
+# LeakSanitizer stays on: the transport frees every finished endpoint, so
+# a reference cycle through a handler is a failure here.
+ctest --test-dir build-asan --output-on-failure --timeout 240
 # Metro under ASan: a 1000-home build plus the smoke diurnal day, checking
 # for memory errors at scale. --no-gate because redzones inflate the
 # bytes-per-home numbers the plain lane gates on.
-ASAN_OPTIONS=detect_leaks=0 \
-  ./build-asan/bench/bench_metro --homes 1000 --smoke --no-gate \
-  > /dev/null
+./build-asan/bench/bench_metro --homes 1000 --smoke --no-gate > /dev/null
 # Durability under ASan: WAL encode/scan/truncate and the device's torn
 # prefix arithmetic are exactly the byte-twiddling ASan is for.
-ASAN_OPTIONS=detect_leaks=0 \
-  ./build-asan/bench/bench_durability --smoke > /dev/null
+./build-asan/bench/bench_durability --smoke > /dev/null
 # Directory under ASan: shard crash + partition teardown is where dangling
 # connection/mux references would live (a crash destroys the shard's
 # TransportMux while peers still hold connections into it).
-ASAN_OPTIONS=detect_leaks=0 \
-  ./build-asan/bench/bench_directory --smoke > /dev/null
+./build-asan/bench/bench_directory --smoke > /dev/null
 # Sharded engine under ASan: cross-shard packets detach from one shard's
 # pool and re-enter another's, and link queues can still hold pooled
 # packets at the horizon — teardown ordering bugs here are exactly what
 # ASan catches (and has caught). bench_psim also runs the TCP day (E21):
 # per-home muxes are destroyed while shard simulators still hold armed
 # RTO/delayed-ACK timers, and SACK CowVec bodies re-home across pools.
-ASAN_OPTIONS=detect_leaks=0 \
-  ./build-asan/bench/bench_psim --smoke --workers 4 > /dev/null
+./build-asan/bench/bench_psim --smoke --workers 4 > /dev/null
 
 # TSan lane: the whole tier-1 suite once under ThreadSanitizer. The
 # simulator itself is single-threaded; this lane guards the thread_local

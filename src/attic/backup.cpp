@@ -417,13 +417,15 @@ void BackupManager::restore_session(const std::string& key, ImageCallback cb) {
   auto chain = std::make_shared<Chain>();
   chain->pieces = it->second.pieces;
   auto step = std::make_shared<std::function<void()>>();
-  *step = [this, chain, step, cb] {
+  // The in-flight restore owns the step; the step only observes itself.
+  *step = [this, chain, self = std::weak_ptr(step), cb] {
     if (chain->index == chain->pieces.size()) {
       cb(std::move(chain->image));
       return;
     }
     const std::string piece = chain->pieces[chain->index++];
-    restore(piece, [chain, step, cb](util::Result<http::Body> body) {
+    restore(piece, [chain, step = self.lock(),
+                    cb](util::Result<http::Body> body) {
       if (!body.ok()) {
         cb(util::Result<util::Bytes>(body.error()));
         return;

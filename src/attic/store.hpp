@@ -73,7 +73,8 @@ class AtticStore {
 
   /// Rebuilds this store from the WAL (clearing current contents), then
   /// attaches it for subsequent writes. Returns the recovery scan stats so
-  /// callers can assert on torn-tail truncation.
+  /// callers can assert on torn-tail truncation, with `records_rejected`
+  /// counting replayed records the store refused (quota, bad path).
   durable::Wal::RecoveryStats recover_from_wal(durable::Wal& wal);
 
   /// Epoch-snapshot compaction: writes the full serialized store as a
@@ -123,7 +124,8 @@ class AtticStore {
   static std::string parent_of(const std::string& path);
   std::string make_etag();
   /// Applies one replayed WAL record (mutations with logging suppressed).
-  void apply_record(const durable::WalRecord& rec);
+  /// Replays one record; false when the store rejects it.
+  bool apply_record(const durable::WalRecord& rec);
   void clear();
   bool parse_snapshot(const util::Bytes& payload);
   void copy_fields(const AtticStore& other) {

@@ -87,6 +87,9 @@ class Wal {
     std::uint64_t wall_records_truncated = 0;  // physical tail truncation
     bool compaction_discarded = false;  // stale .compact from a mid-compaction
                                         // crash was thrown away
+    /// Intact records the service refused to apply on replay (an attic
+    /// put over a smaller quota); filled in by the service, not the Wal.
+    std::uint64_t records_rejected = 0;
   };
   /// Crash recovery: discards a stale `.compact` temp (a crash before the
   /// rename commit point), scans the durable image, replays every intact

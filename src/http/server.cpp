@@ -21,6 +21,13 @@ struct ResponseWriter::Slot {
 struct HttpServer::Connection {
   std::shared_ptr<transport::TcpConnection> tcp;
   std::deque<std::shared_ptr<ResponseWriter::Slot>> slots;
+
+  /// Forgets pending responses, breaking each slot<->writer cycle (a handler
+  /// may never respond); a writer copy can still respond, unflushed.
+  void drop_pending() {
+    for (const auto& slot : slots) slot->writer_keepalive.reset();
+    slots.clear();
+  }
 };
 
 HttpServer::HttpServer(transport::TransportMux& mux, std::uint16_t port,
@@ -35,6 +42,10 @@ HttpServer::HttpServer(transport::TransportMux& mux, std::uint16_t port,
     resp.status = 404;
     writer.respond(std::move(resp));
   };
+}
+
+HttpServer::~HttpServer() {
+  for (const auto& state : connections_) state->drop_pending();
 }
 
 void HttpServer::route(Method method, const std::string& path_prefix,
@@ -99,6 +110,7 @@ void HttpServer::on_accept(std::shared_ptr<transport::TcpConnection> conn) {
   });
   state->tcp->set_on_closed([this, weak] {
     if (const auto state = weak.lock()) {
+      state->drop_pending();
       std::erase(connections_, state);
     }
   });

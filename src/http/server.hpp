@@ -45,6 +45,7 @@ class HttpServer {
  public:
   HttpServer(transport::TransportMux& mux, std::uint16_t port,
              transport::TcpOptions opts = {});
+  ~HttpServer();
 
   /// Routes `method` + longest matching path prefix to `handler` on the
   /// default virtual host.

@@ -41,7 +41,7 @@ struct RequestInfo : net::Payload {
 /// mid-traffic, link queues still hold pooled packets whose pools live in
 /// the shard simulators, and releasing a packet needs its pool); and a
 /// transport's muxes, declared last in the derived class, are destroyed
-/// first of all (~TransportMux detaches every connection, which cancels
+/// first of all (~TransportMux finishes every connection, which cancels
 /// RTO/delayed-ack timers on shard simulators that must still be alive,
 /// and leaves the connection objects inert before anything that might
 /// still reference them is torn down).

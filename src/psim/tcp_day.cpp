@@ -16,8 +16,6 @@ constexpr std::uint16_t kTcpPort = 80;
 /// Every Nth home fetches over MPTCP with one extra subflow.
 constexpr std::size_t kMptcpEvery = 16;
 
-using MptcpLive = std::vector<std::shared_ptr<transport::MptcpConnection>>;
-
 class TcpDay final : public ShardedDay {
  public:
   explicit TcpDay(const DayConfig& c) : ShardedDay(c), tcp(homes.size()) {
@@ -29,26 +27,13 @@ class TcpDay final : public ShardedDay {
     transport::TcpOptions lopts;
     lopts.mp_capable = true;  // accepts both MPTCP sessions and plain TCP
     auto listener = origin_mux->tcp_listen(kTcpPort, lopts);
-    listener->set_on_accept(
-        [this](std::shared_ptr<transport::TcpConnection> conn) {
-          transport::TcpConnection* c = conn.get();
-          c->set_on_message([this, c](net::PayloadPtr msg) {
-            serve(c, *static_cast<const RequestInfo*>(msg.get()));
-          });
-        });
-    listener->set_on_accept_mptcp(
-        [this](std::shared_ptr<transport::MptcpConnection> session) {
-          transport::MptcpConnection* c = session.get();
-          origin_mp_live.push_back(std::move(session));
-          c->set_on_message([this, c](net::PayloadPtr msg) {
-            serve(c, *static_cast<const RequestInfo*>(msg.get()));
-          });
-          auto release = [this, c] {
-            release_mptcp(origin_mp_live, topo.origins[0]->simulator(), c);
-          };
-          c->set_on_closed(release);
-          c->set_on_reset(release);
-        });
+    const auto accept = [this](const auto& conn) {  // TCP or MPTCP
+      conn->set_on_message([this, c = conn.get()](net::PayloadPtr msg) {
+        serve(c, *static_cast<const RequestInfo*>(msg.get()));
+      });
+    };
+    listener->set_on_accept(accept);
+    listener->set_on_accept_mptcp(accept);
   }
 
   TcpDayResult finish() {
@@ -89,7 +74,6 @@ class TcpDay final : public ShardedDay {
     if (h % kMptcpEvery == 0) {
       auto conn = mux.mptcp_connect(origin);
       transport::MptcpConnection* c = conn.get();
-      ht.mp_live.push_back(conn);
       ++ht.mptcp_sessions;
       conn->set_on_established([c, request] {
         c->add_subflow({});
@@ -105,7 +89,6 @@ class TcpDay final : public ShardedDay {
           tmo += sf.conn->timeouts();
         }
         account_close(h, c->last_error(), rexmit, tmo);
-        release_mptcp(tcp[h].mp_live, topo.homes[h]->simulator(), c);
       };
       conn->set_on_closed(done);
       conn->set_on_reset(done);
@@ -135,21 +118,6 @@ class TcpDay final : public ShardedDay {
     }
   }
 
-  /// Drops the owning reference one event later, on the shard that owns
-  /// `live`: the session is mid-way through its own close callback, so
-  /// erasing the shared_ptr here would destroy it under its own feet.
-  static void release_mptcp(MptcpLive& live, sim::Simulator& shard,
-                            transport::MptcpConnection* c) {
-    shard.schedule(0, [&live, c] {
-      for (auto it = live.begin(); it != live.end(); ++it) {
-        if (it->get() == c) {
-          live.erase(it);
-          return;
-        }
-      }
-    });
-  }
-
   template <typename Conn>
   void serve(Conn* c, const RequestInfo& info) {
     ++origin_served;
@@ -166,16 +134,11 @@ class TcpDay final : public ShardedDay {
     std::uint64_t retransmits = 0;
     std::uint64_t timeouts = 0;
     std::uint64_t mptcp_sessions = 0;
-    /// The mux only holds MPTCP sessions weakly, so the client keeps its
-    /// live sessions here until release_mptcp drops them.
-    MptcpLive mp_live;
   };
   std::vector<HomeTcp> tcp;
   // Written by the core shard only.
   std::uint64_t origin_served = 0;
   std::uint64_t origin_tx_bytes = 0;
-  /// Accepted MPTCP sessions (same weak-mux reasoning as HomeTcp::mp_live).
-  MptcpLive origin_mp_live;
   // Last, so destroyed first: see ShardedDay.
   std::vector<std::unique_ptr<transport::TransportMux>> home_muxes;
   std::unique_ptr<transport::TransportMux> origin_mux;

@@ -178,7 +178,8 @@ std::string run_flash_crowd(std::uint64_t seed) {
   const util::Duration stagger = kIssueEvery / kClients;
   for (int c = 1; c <= kClients; ++c) {
     auto tick = std::make_shared<std::function<void()>>();
-    *tick = [&, c, tick] {
+    // The pending event owns the tick; the tick only observes itself.
+    *tick = [&, c, self = std::weak_ptr(tick)] {
       if (sim.now() >= kHorizon) return;
       const util::TimePoint issued_at = sim.now();
       if (issued_at >= kWarmup) ++issued;
@@ -192,7 +193,7 @@ std::string run_flash_crowd(std::uint64_t seed) {
                 latencies.push_back(
                     static_cast<double>(done_at - issued_at) / kSecond);
               });
-      sim.schedule(kIssueEvery, *tick);
+      sim.schedule(kIssueEvery, [t = self.lock()] { (*t)(); });
     };
     sim.schedule(kSecond + c * stagger, [tick] { (*tick)(); });
   }

@@ -10,14 +10,20 @@
 namespace hpop::transport {
 
 MptcpConnection::MptcpConnection(TransportMux& mux, std::uint64_t token,
-                                 MptcpOptions opts, bool server_role)
-    : mux_(mux), token_(token), opts_(opts), server_role_(server_role) {
+                                 MptcpOptions opts)
+    : mux_(mux), token_(token), opts_(opts) {
   auto& reg = telemetry::registry();
   m_sched_bytes_ = reg.counter("mptcp.sched_bytes");
   m_subflow_switches_ = reg.counter("mptcp.subflow_switches");
 }
 
-MptcpConnection::~MptcpConnection() = default;
+template <typename Handler, typename... Args>
+void MptcpConnection::fire(Handler& handler, Args&&... args) {
+  if (!handler) return;
+  ++callback_depth_;
+  handler(std::forward<Args>(args)...);
+  if (--callback_depth_ == 0 && closed_) drop_handlers();
+}
 
 void MptcpConnection::send(net::PayloadPtr message) {
   assert(message != nullptr);
@@ -43,8 +49,8 @@ std::shared_ptr<TcpConnection> MptcpConnection::add_subflow(
     TcpOptions subflow_opts) {
   subflow_opts.join_token = token_;
   subflow_opts.mp_capable = false;
-  auto conn = mux_.open_subflow(remote_, subflow_opts);
-  attach_subflow(conn, /*primary=*/false);
+  auto conn = mux_.tcp_connect(remote_, subflow_opts);
+  attach_subflow(conn);
   return conn;
 }
 
@@ -66,14 +72,9 @@ void MptcpConnection::set_subflow_weight(
   }
 }
 
-void MptcpConnection::attach_subflow(std::shared_ptr<TcpConnection> subflow,
-                                     bool primary) {
+void MptcpConnection::attach_subflow(std::shared_ptr<TcpConnection> subflow) {
   subflows_.push_back(SubflowInfo{subflow});
-  wire_subflow(subflows_.back(), primary);
-}
-
-void MptcpConnection::wire_subflow(SubflowInfo& info, bool primary) {
-  (void)primary;
+  SubflowInfo& info = subflows_.back();
   TcpConnection* raw = info.conn.get();
   const auto self = weak_from_this();
 
@@ -81,7 +82,7 @@ void MptcpConnection::wire_subflow(SubflowInfo& info, bool primary) {
     if (const auto s = self.lock()) {
       if (!s->established_) {
         s->established_ = true;
-        if (s->on_established_) s->on_established_();
+        s->fire(s->on_.established);
       }
       s->pump();
     }
@@ -90,7 +91,7 @@ void MptcpConnection::wire_subflow(SubflowInfo& info, bool primary) {
     // Server-side subflows attach after the handshake completed.
     const bool was_established = established_;
     established_ = true;
-    if (!was_established && on_established_) on_established_();
+    if (!was_established) fire(on_.established);
   } else {
     info.conn->set_on_established(mark_established);
   }
@@ -308,7 +309,7 @@ void MptcpConnection::on_chunk_received(const ChunkPayload& chunk) {
     }
   }
   if (data_rcv_nxt_ > old) {
-    if (on_bytes_) on_bytes_(data_rcv_nxt_ - old);
+    fire(on_.bytes, data_rcv_nxt_ - old);
     deliver_ready();
   }
 }
@@ -318,7 +319,7 @@ void MptcpConnection::deliver_ready() {
          pending_refs_.begin()->first <= data_rcv_nxt_) {
     net::PayloadPtr msg = pending_refs_.begin()->second;
     pending_refs_.erase(pending_refs_.begin());
-    if (msg && on_message_) on_message_(msg);
+    if (msg) fire(on_.message, msg);
   }
 }
 
@@ -366,21 +367,33 @@ void MptcpConnection::maybe_finish_close() {
     }
   }
   if (all_dead || (data_drained && subflows_.empty())) {
-    closed_ = true;
-    mux_.mptcp_unregister(token_);
     // Clean only if the app asked to close and every queued byte was
     // data-acked; anything else (a waypoint crash killing all subflows)
     // is a failure the caller must hear about.
     const bool clean = close_requested_ && data_una_ == data_end_;
-    if (!clean) {
-      last_error_ = "all subflows lost";
-      if (on_reset_) {
-        on_reset_();
-        return;
-      }
-    }
-    if (on_closed_) on_closed_();
+    finish(clean ? nullptr : "all subflows lost", /*notify=*/true);
   }
+}
+
+void MptcpConnection::finish(const char* error, bool notify) {
+  const auto self = shared_from_this();  // the mux held the last reference
+  closed_ = true;
+  last_error_ = error;
+  mux_.mptcp_unregister(*this);
+  for (const auto& info : subflows_) info.conn->release_handlers();
+  if (notify) {
+    if (error != nullptr && on_.reset) {
+      fire(on_.reset);
+    } else {
+      fire(on_.closed);
+    }
+  }
+  if (callback_depth_ == 0) drop_handlers();
+}
+
+void MptcpConnection::drop_handlers() {
+  const auto self = shared_from_this();  // a handler may hold the last ref
+  const Handlers dropped = std::exchange(on_, Handlers{});
 }
 
 }  // namespace hpop::transport

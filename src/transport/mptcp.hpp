@@ -50,9 +50,7 @@ struct MptcpOptions {
 /// application sees the same framed-message API as TcpConnection.
 class MptcpConnection : public std::enable_shared_from_this<MptcpConnection> {
  public:
-  MptcpConnection(TransportMux& mux, std::uint64_t token, MptcpOptions opts,
-                  bool server_role);
-  ~MptcpConnection();
+  MptcpConnection(TransportMux& mux, std::uint64_t token, MptcpOptions opts);
 
   // --- Application interface (mirrors TcpConnection) ---
   void send(net::PayloadPtr message);
@@ -62,14 +60,14 @@ class MptcpConnection : public std::enable_shared_from_this<MptcpConnection> {
   using MessageHandler = std::function<void(net::PayloadPtr)>;
   using PlainHandler = std::function<void()>;
   using BytesHandler = std::function<void(std::size_t)>;
-  void set_on_established(PlainHandler h) { on_established_ = std::move(h); }
-  void set_on_message(MessageHandler h) { on_message_ = std::move(h); }
-  void set_on_bytes(BytesHandler h) { on_bytes_ = std::move(h); }
-  void set_on_closed(PlainHandler h) { on_closed_ = std::move(h); }
+  void set_on_established(PlainHandler h) { on_.established = std::move(h); }
+  void set_on_message(MessageHandler h) { on_.message = std::move(h); }
+  void set_on_bytes(BytesHandler h) { on_.bytes = std::move(h); }
+  void set_on_closed(PlainHandler h) { on_.closed = std::move(h); }
   /// Fires instead of on_closed when the session dies abnormally (every
   /// subflow reset/lost before the data stream drained). Without it the
   /// failure is still visible through last_error() in on_closed.
-  void set_on_reset(PlainHandler h) { on_reset_ = std::move(h); }
+  void set_on_reset(PlainHandler h) { on_.reset = std::move(h); }
   /// Failure reason when the session ended abnormally; nullptr otherwise.
   const char* last_error() const { return last_error_; }
 
@@ -81,7 +79,7 @@ class MptcpConnection : public std::enable_shared_from_this<MptcpConnection> {
   /// Removes a subflow; its in-flight data is reinjected on the others.
   void remove_subflow(const std::shared_ptr<TcpConnection>& subflow);
   /// Attaches an accepted join subflow (mux-internal, server side).
-  void attach_subflow(std::shared_ptr<TcpConnection> subflow, bool primary);
+  void attach_subflow(std::shared_ptr<TcpConnection> subflow);
 
   struct SubflowInfo {
     std::shared_ptr<TcpConnection> conn;
@@ -107,7 +105,6 @@ class MptcpConnection : public std::enable_shared_from_this<MptcpConnection> {
     bool acked = false;
   };
 
-  void wire_subflow(SubflowInfo& info, bool primary);
   void pump();
   int pick_subflow();
   void on_chunk_received(const ChunkPayload& chunk);
@@ -118,11 +115,16 @@ class MptcpConnection : public std::enable_shared_from_this<MptcpConnection> {
   std::vector<net::MessageRef> refs_in_range(std::uint64_t off,
                                              std::uint64_t len) const;
   void maybe_finish_close();
+  /// As TcpConnection::finish; also releases the subflows' handlers. The
+  /// session's own are dropped once no handler runs (see fire).
+  void finish(const char* error, bool notify);
+  template <typename Handler, typename... Args>
+  void fire(Handler& handler, Args&&... args);
+  void drop_handlers();
 
   TransportMux& mux_;
   std::uint64_t token_;
   MptcpOptions opts_;
-  bool server_role_;
   bool established_ = false;
   bool close_requested_ = false;
   bool closed_ = false;
@@ -149,11 +151,15 @@ class MptcpConnection : public std::enable_shared_from_this<MptcpConnection> {
   std::map<std::uint64_t, std::uint64_t> ooo_ranges_;
   std::map<std::uint64_t, net::PayloadPtr> pending_refs_;
 
-  PlainHandler on_established_;
-  MessageHandler on_message_;
-  BytesHandler on_bytes_;
-  PlainHandler on_closed_;
-  PlainHandler on_reset_;
+  struct Handlers {
+    PlainHandler established;
+    MessageHandler message;
+    BytesHandler bytes;
+    PlainHandler closed;
+    PlainHandler reset;
+  };
+  Handlers on_;
+  int callback_depth_ = 0;
   const char* last_error_ = nullptr;
 
   // Registry handles (aggregated across all MPTCP connections).

@@ -15,14 +15,19 @@ TransportMux::TransportMux(net::Host& host) : host_(host) {
 
 TransportMux::~TransportMux() {
   host_.set_transport_handler(nullptr);
-  // Applications may keep connections alive past the mux (self-capturing
-  // handlers, a peer's connection map); a pending RTO on one of those
-  // would fire into this freed mux. Detach them all: timers cancelled,
-  // handlers cleared, no callbacks invoked.
-  for (auto& [key, conn] : connections_) {
-    conn->detach();
+  // Finish every endpoint still live, without callbacks: the owner tearing
+  // down the mux (a crashed host) has usually destroyed the application
+  // already. Each unregisters itself, so the maps are moved out first.
+  for (const auto& session : std::exchange(sessions_, {})) {
+    session->finish("transport destroyed", /*notify=*/false);
   }
-  connections_.clear();
+  for (const auto& [key, conn] : std::exchange(connections_, {})) {
+    conn->finish("transport destroyed", /*notify=*/false);
+  }
+  for (const auto& [port, listener] : listeners_) {  // can never accept again
+    listener->on_accept_ = nullptr;
+    listener->on_accept_mptcp_ = nullptr;
+  }
 }
 
 net::IpAddr TransportMux::default_source() const { return host_.address(); }
@@ -73,7 +78,7 @@ std::shared_ptr<TcpListener> TransportMux::tcp_listen(std::uint16_t port,
   if (listeners_.count(port) > 0) {
     throw std::invalid_argument("TCP port in use: " + std::to_string(port));
   }
-  auto listener = std::make_shared<TcpListener>(*this, port, opts);
+  auto listener = std::make_shared<TcpListener>(port, opts);
   listeners_[port] = listener;
   return listener;
 }
@@ -98,7 +103,10 @@ void TransportMux::tcp_unregister(const net::Endpoint& local,
 }
 
 std::shared_ptr<TcpConnection> TransportMux::create_passive(
-    const net::Packet& syn, const TcpOptions& opts) {
+    const net::Packet& syn, TcpOptions opts) {
+  opts.mp_capable = false;  // MPTCP signalling is the session's, not ours
+  opts.join_token.reset();
+  opts.bind_ip = syn.dst;
   const net::Endpoint local = syn.dst_endpoint();
   const net::Endpoint remote = syn.src_endpoint();
   auto conn = std::make_shared<TcpConnection>(*this, local, remote, opts,
@@ -140,22 +148,17 @@ void TransportMux::handle_tcp(net::PooledPacket pooled) {
   // Additional MPTCP subflow joining an existing session.
   if (pkt.tcp.mp_join) {
     const auto mit = mptcp_.find(*pkt.tcp.mp_join);
-    const auto session = mit != mptcp_.end() ? mit->second.lock() : nullptr;
-    if (session == nullptr) {
+    if (mit == mptcp_.end()) {
       send_rst_for(pkt);
       return;
     }
-    TcpOptions opts = session->opts_.subflow;
-    opts.mp_capable = false;
-    opts.join_token.reset();
-    opts.bind_ip = pkt.dst;
-    auto conn = create_passive(pkt, opts);
-    conn->internal_established_ =
-        [session_wp = std::weak_ptr<MptcpConnection>(session),
-         conn_wp = std::weak_ptr<TcpConnection>(conn)] {
-          const auto s = session_wp.lock();
-          const auto c = conn_wp.lock();
-          if (s && c) s->attach_subflow(c, /*primary=*/false);
+    MptcpConnection* session = mit->second;
+    auto conn = create_passive(pkt, session->opts_.subflow);
+    conn->on_.internal_established =
+        [session_wp = session->weak_from_this(), c = conn.get()] {
+          if (const auto s = session_wp.lock()) {
+            s->attach_subflow(c->shared_from_this());
+          }
         };
     conn->on_packet(pkt);
     return;
@@ -167,36 +170,24 @@ void TransportMux::handle_tcp(net::PooledPacket pooled) {
     return;
   }
   const auto listener = lit->second;
-  TcpOptions opts = listener->options();
-  const bool mptcp_session = opts.mp_capable && pkt.tcp.mp_capable.has_value();
-  opts.mp_capable = false;
-  opts.join_token.reset();
-  opts.bind_ip = pkt.dst;
-  auto conn = create_passive(pkt, opts);
+  const bool mptcp_session =
+      listener->options().mp_capable && pkt.tcp.mp_capable.has_value();
+  auto conn = create_passive(pkt, listener->options());
 
   if (mptcp_session) {
-    const std::uint64_t token = *pkt.tcp.mp_capable;
     auto session = std::make_shared<MptcpConnection>(
-        *this, token,
-        MptcpOptions{listener->options(), SchedulerKind::kMinRtt},
-        /*server_role=*/true);
-    mptcp_register(token, session);
+        *this, *pkt.tcp.mp_capable,
+        MptcpOptions{listener->options(), SchedulerKind::kMinRtt});
+    mptcp_register(session);
     session->set_remote(pkt.src_endpoint());
-    conn->internal_established_ =
-        [listener, session,
-         conn_wp = std::weak_ptr<TcpConnection>(conn)] {
-          if (const auto c = conn_wp.lock()) {
-            session->attach_subflow(c, /*primary=*/true);
-            if (listener->on_accept_mptcp_) listener->on_accept_mptcp_(session);
-          }
-        };
+    conn->on_.internal_established = [listener, session, c = conn.get()] {
+      session->attach_subflow(c->shared_from_this());
+      if (listener->on_accept_mptcp_) listener->on_accept_mptcp_(session);
+    };
   } else {
-    conn->internal_established_ =
-        [listener, conn_wp = std::weak_ptr<TcpConnection>(conn)] {
-          if (const auto c = conn_wp.lock()) {
-            if (listener->on_accept_) listener->on_accept_(c);
-          }
-        };
+    conn->on_.internal_established = [listener, c = conn.get()] {
+      if (listener->on_accept_) listener->on_accept_(c->shared_from_this());
+    };
   }
   conn->on_packet(pkt);
 }
@@ -206,30 +197,25 @@ void TransportMux::handle_tcp(net::PooledPacket pooled) {
 std::shared_ptr<MptcpConnection> TransportMux::mptcp_connect(
     net::Endpoint remote, MptcpOptions opts) {
   const std::uint64_t token = fresh_token();
-  auto session = std::make_shared<MptcpConnection>(*this, token, opts,
-                                                   /*server_role=*/false);
-  mptcp_register(token, session);
+  auto session = std::make_shared<MptcpConnection>(*this, token, opts);
+  mptcp_register(session);
   session->set_remote(remote);
   TcpOptions sub = opts.subflow;
   sub.mp_capable = true;
   sub.mptcp_token = token;
   auto first = tcp_connect(remote, sub);
-  session->attach_subflow(first, /*primary=*/true);
+  session->attach_subflow(first);
   return session;
 }
 
-std::shared_ptr<TcpConnection> TransportMux::open_subflow(net::Endpoint remote,
-                                                          TcpOptions opts) {
-  return tcp_connect(remote, opts);
+void TransportMux::mptcp_register(std::shared_ptr<MptcpConnection> session) {
+  mptcp_[session->token()] = session.get();
+  sessions_.push_back(std::move(session));
 }
 
-void TransportMux::mptcp_register(std::uint64_t token,
-                                  std::weak_ptr<MptcpConnection> conn) {
-  mptcp_[token] = std::move(conn);
-}
-
-void TransportMux::mptcp_unregister(std::uint64_t token) {
-  mptcp_.erase(token);
+void TransportMux::mptcp_unregister(const MptcpConnection& session) {
+  mptcp_.erase(session.token());
+  std::erase_if(sessions_, [&](const auto& s) { return s.get() == &session; });
 }
 
 }  // namespace hpop::transport

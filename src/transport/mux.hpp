@@ -3,6 +3,7 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "net/node.hpp"
 #include "transport/mptcp.hpp"
@@ -12,9 +13,11 @@
 namespace hpop::transport {
 
 /// Per-host transport demultiplexer: owns the host's UDP sockets, TCP
-/// listeners and connections, and MPTCP session registry, and dispatches
-/// inbound packets to them. Installing a TransportMux turns a bare
-/// net::Host into an end system with a socket-like API.
+/// listeners, connections and MPTCP sessions, and dispatches inbound
+/// packets to them. Installing a TransportMux turns a bare net::Host into
+/// an end system with a socket-like API.
+/// It owns every connection and session until that endpoint finishes; the
+/// shared_ptrs applications hold are observers (DESIGN.md §5).
 class TransportMux {
  public:
   explicit TransportMux(net::Host& host);
@@ -47,12 +50,8 @@ class TransportMux {
   net::IpAddr default_source() const;
   void udp_unregister(std::uint16_t port);
   void tcp_unregister(const net::Endpoint& local, const net::Endpoint& remote);
-  void mptcp_register(std::uint64_t token,
-                      std::weak_ptr<MptcpConnection> conn);
-  void mptcp_unregister(std::uint64_t token);
-  /// Opens a subflow connection bound to an MPTCP session token.
-  std::shared_ptr<TcpConnection> open_subflow(net::Endpoint remote,
-                                              TcpOptions opts);
+  void mptcp_register(std::shared_ptr<MptcpConnection> session);
+  void mptcp_unregister(const MptcpConnection& session);
   std::uint64_t fresh_token() { return ++token_counter_ * 0x9e37ull + 7; }
 
  private:
@@ -61,7 +60,7 @@ class TransportMux {
   void handle_udp(net::PooledPacket pkt);
   void send_rst_for(const net::Packet& pkt);
   std::shared_ptr<TcpConnection> create_passive(const net::Packet& syn,
-                                                const TcpOptions& opts);
+                                                TcpOptions opts);
 
   net::Host& host_;
   std::unordered_map<std::uint16_t, std::shared_ptr<UdpSocket>> udp_;
@@ -69,7 +68,12 @@ class TransportMux {
   std::map<std::pair<net::Endpoint, net::Endpoint>,
            std::shared_ptr<TcpConnection>>
       connections_;  // (local, remote) -> connection
-  std::unordered_map<std::uint64_t, std::weak_ptr<MptcpConnection>> mptcp_;
+  /// Live MPTCP sessions, in registration order.
+  std::vector<std::shared_ptr<MptcpConnection>> sessions_;
+  /// Join lookup: token -> the session that registered it last. Tokens are
+  /// minted by the connecting host, so two clients' sessions can share one
+  /// at a server; either one finishing clears the token.
+  std::unordered_map<std::uint64_t, MptcpConnection*> mptcp_;
   std::uint64_t token_counter_ = 0;
 };
 

@@ -13,6 +13,20 @@ namespace {
 thread_local std::uint64_t g_packet_id = 0;
 }
 
+class TcpConnection::Entry {
+ public:
+  explicit Entry(TcpConnection& conn) : conn_(conn) { ++conn_.entry_depth_; }
+  ~Entry() {
+    if (--conn_.entry_depth_ > 0 || !conn_.release_pending_) return;
+    conn_.release_pending_ = false;
+    const auto self = conn_.shared_from_this();  // a handler may own it
+    const Handlers dropped = std::exchange(conn_.on_, Handlers{});
+  }
+
+ private:
+  TcpConnection& conn_;
+};
+
 TcpConnection::TcpConnection(TransportMux& mux, net::Endpoint local,
                              net::Endpoint remote, TcpOptions opts,
                              bool passive)
@@ -122,35 +136,17 @@ void TcpConnection::abort() {
   net::PooledPacket rst = base_packet();
   rst->tcp.rst = true;
   transmit(std::move(rst));
-  fail("local abort");
+  finish("local abort", /*notify=*/true);
 }
 
-void TcpConnection::detach() {
-  disarm_rto();
-  if (delayed_ack_timer_) {
-    mux_.simulator().cancel(*delayed_ack_timer_);
-    delayed_ack_timer_.reset();
+void TcpConnection::finish(const char* error, bool notify) {
+  if (error != nullptr) {
+    HPOP_LOG(kDebug, "tcp") << local_.to_string() << "->"
+                            << remote_.to_string() << " failed: " << error;
   }
-  if (state_ != State::kClosed) {
-    last_error_ = "transport destroyed";
-    state_ = State::kClosed;
-  }
-  // Break the self-capture cycles so externally-held references drain.
-  on_established_ = nullptr;
-  on_message_ = nullptr;
-  on_bytes_ = nullptr;
-  on_closed_ = nullptr;
-  on_reset_ = nullptr;
-  on_remote_close_ = nullptr;
-  on_send_space_ = nullptr;
-  on_payload_acked_ = nullptr;
-}
-
-void TcpConnection::fail(const char* reason) {
-  HPOP_LOG(kDebug, "tcp") << local_.to_string() << "->" << remote_.to_string()
-                          << " failed: " << reason;
   const auto self = shared_from_this();  // keep alive through unregister
-  last_error_ = reason;
+  const Entry entry(*this);
+  last_error_ = error;
   disarm_rto();
   if (delayed_ack_timer_) {
     mux_.simulator().cancel(*delayed_ack_timer_);
@@ -158,11 +154,18 @@ void TcpConnection::fail(const char* reason) {
   }
   state_ = State::kClosed;
   mux_.tcp_unregister(local_, remote_);
-  if (on_reset_) {
-    on_reset_();
-  } else if (on_closed_) {
-    on_closed_();  // apps that only watch for closure still learn of it
+  release_pending_ = true;
+  if (!notify) return;
+  if (error != nullptr && on_.reset) {
+    on_.reset();
+  } else if (on_.closed) {
+    on_.closed();  // apps that only watch for closure still learn
   }
+}
+
+void TcpConnection::release_handlers() {
+  const Entry entry(*this);
+  release_pending_ = true;
 }
 
 std::uint64_t TcpConnection::available_window() const {
@@ -512,13 +515,14 @@ void TcpConnection::disarm_rto() {
 }
 
 void TcpConnection::on_rto() {
+  const Entry entry(*this);
   ++timeouts_;
   m_timeouts_->inc();
   telemetry::tracer().emit(telemetry::TraceEvent::kTcpTimeout,
                            static_cast<double>(snd_una_),
                            static_cast<double>(rto_backoff_));
   if (rto_backoff_ > 10) {
-    fail("too many timeouts");
+    finish("too many timeouts", /*notify=*/true);
     return;
   }
   ++rto_backoff_;
@@ -558,13 +562,13 @@ void TcpConnection::on_rto() {
   arm_rto();
   // The rollback may have reopened window space (e.g. a jammed flight
   // estimate); let layered senders (MPTCP) refill.
-  if (on_send_space_) on_send_space_();
+  if (on_.send_space) on_.send_space();
 }
 
 void TcpConnection::prune_acked_items() {
   while (!send_items_.empty() && send_items_.front().end_offset <= snd_una_) {
-    if (on_payload_acked_ && send_items_.front().payload) {
-      on_payload_acked_(send_items_.front().payload);
+    if (on_.payload_acked && send_items_.front().payload) {
+      on_.payload_acked(send_items_.front().payload);
     }
     send_items_.pop_front();
   }
@@ -627,7 +631,7 @@ void TcpConnection::process_ack(const net::Packet& pkt) {
       arm_rto();
     }
     try_send();
-    if (on_send_space_) on_send_space_();
+    if (on_.send_space) on_.send_space();
     maybe_finish_close();
   } else if (ack == snd_una_ && snd_nxt_ > snd_una_ && pkt.payload_len == 0 &&
              !pkt.tcp.syn && !pkt.tcp.fin) {
@@ -647,7 +651,7 @@ void TcpConnection::deliver_ready() {
          pending_refs_.begin()->first <= rcv_nxt_) {
     net::PayloadPtr msg = pending_refs_.begin()->second;
     pending_refs_.erase(pending_refs_.begin());
-    if (msg && on_message_) on_message_(msg);
+    if (msg && on_.message) on_.message(msg);
   }
 }
 
@@ -705,7 +709,7 @@ void TcpConnection::process_data(const net::Packet& pkt) {
     }
   }
   if (rcv_nxt_ > old_rcv_nxt) {
-    if (on_bytes_) on_bytes_(rcv_nxt_ - old_rcv_nxt);
+    if (on_.bytes) on_.bytes(rcv_nxt_ - old_rcv_nxt);
     deliver_ready();
   }
   // FIN handling: the peer's FIN sits right after its last data byte.
@@ -717,31 +721,22 @@ void TcpConnection::process_data(const net::Packet& pkt) {
     if (state_ == State::kEstablished) state_ = State::kClosing;
   }
   schedule_delayed_ack();
-  if (remote_closed_now && on_remote_close_) on_remote_close_();
+  if (remote_closed_now && on_.remote_close) on_.remote_close();
   maybe_finish_close();
 }
 
 void TcpConnection::maybe_finish_close() {
-  if (state_ == State::kClosed) return;
-  if (fin_received_ && !fin_queued_) {
-    // Passive close: once the peer finished sending, close our side after
-    // the application had its chance to respond. Applications that want to
-    // keep sending call close() themselves later; default echoes the close.
-    // We do not auto-close: half-open connections are legal. (HTTP keeps
-    // the connection open for the response.)
-  }
-  if (fin_received_ && fin_acked_) {
-    const auto self = shared_from_this();
-    disarm_rto();
-    state_ = State::kClosed;
-    mux_.tcp_unregister(local_, remote_);
-    if (on_closed_) on_closed_();
+  // Both directions done. A peer FIN alone never closes our side:
+  // half-open connections are legal (HTTP keeps sending the response).
+  if (state_ != State::kClosed && fin_received_ && fin_acked_) {
+    finish(nullptr, /*notify=*/true);
   }
 }
 
 void TcpConnection::on_packet(const net::Packet& pkt) {
+  const Entry entry(*this);
   if (pkt.tcp.rst) {
-    fail("connection reset by peer");
+    finish("connection reset by peer", /*notify=*/true);
     return;
   }
 
@@ -753,7 +748,7 @@ void TcpConnection::on_packet(const net::Packet& pkt) {
         rto_backoff_ = 0;
         disarm_rto();
         send_ack_now();
-        if (on_established_) on_established_();
+        if (on_.established) on_.established();
         try_send();
       }
       return;
@@ -771,8 +766,11 @@ void TcpConnection::on_packet(const net::Packet& pkt) {
         state_ = State::kEstablished;
         rto_backoff_ = 0;
         disarm_rto();
-        if (internal_established_) internal_established_();
-        if (on_established_) on_established_();
+        if (const PlainHandler accept =
+                std::exchange(on_.internal_established, nullptr)) {
+          accept();
+        }
+        if (on_.established) on_.established();
         // Fall through to process any piggybacked data below.
       } else {
         return;

@@ -70,7 +70,6 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   /// Use TransportMux::connect / TcpListener; not directly constructible.
   TcpConnection(TransportMux& mux, net::Endpoint local, net::Endpoint remote,
                 TcpOptions opts, bool passive);
-  ~TcpConnection() = default;
 
   // --- Application interface ---
   void send(net::PayloadPtr message);
@@ -83,21 +82,21 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   using MessageHandler = std::function<void(net::PayloadPtr)>;
   using PlainHandler = std::function<void()>;
   using BytesHandler = std::function<void(std::size_t)>;
-  void set_on_established(PlainHandler h) { on_established_ = std::move(h); }
-  void set_on_message(MessageHandler h) { on_message_ = std::move(h); }
+  void set_on_established(PlainHandler h) { on_.established = std::move(h); }
+  void set_on_message(MessageHandler h) { on_.message = std::move(h); }
   /// Called as stream bytes become contiguous (progress reporting).
-  void set_on_bytes(BytesHandler h) { on_bytes_ = std::move(h); }
-  void set_on_closed(PlainHandler h) { on_closed_ = std::move(h); }
-  void set_on_reset(PlainHandler h) { on_reset_ = std::move(h); }
+  void set_on_bytes(BytesHandler h) { on_.bytes = std::move(h); }
+  void set_on_closed(PlainHandler h) { on_.closed = std::move(h); }
+  void set_on_reset(PlainHandler h) { on_.reset = std::move(h); }
   /// Fires once when the peer's FIN is received (peer finished sending).
   /// Typical servers/clients respond by close()-ing their own side once
   /// their remaining data is queued.
-  void set_on_remote_close(PlainHandler h) { on_remote_close_ = std::move(h); }
+  void set_on_remote_close(PlainHandler h) { on_.remote_close = std::move(h); }
   /// Fires when acked data opens send window (MPTCP pump hook).
-  void set_on_send_space(PlainHandler h) { on_send_space_ = std::move(h); }
+  void set_on_send_space(PlainHandler h) { on_.send_space = std::move(h); }
   /// Fires for each fully-acknowledged queued payload (MPTCP data-ack).
   void set_on_payload_acked(MessageHandler h) {
-    on_payload_acked_ = std::move(h);
+    on_.payload_acked = std::move(h);
   }
 
   // --- Introspection ---
@@ -127,13 +126,6 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   // --- Wiring (mux-internal) ---
   void start_active_open();
   void on_packet(const net::Packet& pkt);
-  /// Called by ~TransportMux: the mux is going away while the application
-  /// may still hold the connection (self-capturing handlers, peer maps).
-  /// Cancels all pending timers and clears handlers without invoking any
-  /// callback — the owner tearing down the mux (a crashed host) has
-  /// usually destroyed the application already, so firing on_reset here
-  /// would call into freed objects. Leaves the object inert and kClosed.
-  void detach();
 
  private:
   struct Item {
@@ -165,7 +157,12 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void maybe_finish_close();
   void deliver_ready();
   void prune_acked_items();
-  void fail(const char* reason);
+  /// The one terminal step: cancels both timers, goes kClosed, unregisters,
+  /// fires on_reset (error) or on_closed unless `notify` is false (the mux
+  /// being destroyed), and drops every handler when the outermost Entry
+  /// returns.
+  void finish(const char* error, bool notify);
+  void release_handlers();  // drop now, or when the outermost Entry returns
   /// Fills the message refs ending in (seq, seq+len] straight into the
   /// packet's body. The CowVec is only touched when at least one message
   /// actually ends in the range — bulk filler segments (the hot path) ship
@@ -243,15 +240,24 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   std::optional<sim::TimerId> delayed_ack_timer_;
 
   // Callbacks.
-  PlainHandler internal_established_;  // mux accept/MPTCP-attach dispatch
-  PlainHandler on_established_;
-  MessageHandler on_message_;
-  BytesHandler on_bytes_;
-  PlainHandler on_closed_;
-  PlainHandler on_reset_;
-  PlainHandler on_remote_close_;
-  PlainHandler on_send_space_;
-  MessageHandler on_payload_acked_;
+  struct Handlers {
+    PlainHandler internal_established;  // mux accept/MPTCP attach, one-shot
+    PlainHandler established;
+    MessageHandler message;
+    BytesHandler bytes;
+    PlainHandler closed;
+    PlainHandler reset;
+    PlainHandler remote_close;
+    PlainHandler send_space;
+    MessageHandler payload_acked;
+  };
+  Handlers on_;
+  /// One entry from outside (segment, timer, finish). Handlers run only
+  /// inside one, so dropping them when the outermost returns never
+  /// destroys a running handler (on_message may abort() its connection).
+  class Entry;
+  int entry_depth_ = 0;
+  bool release_pending_ = false;
 
   // Registry handles (aggregated across all connections).
   telemetry::Counter* m_retransmits_;
@@ -259,6 +265,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   telemetry::SummaryMetric* m_rtt_ms_;
 
   friend class TransportMux;
+  friend class MptcpConnection;
 };
 
 class MptcpConnection;
@@ -269,8 +276,8 @@ class MptcpConnection;
 /// ordinary connections via set_on_accept.
 class TcpListener {
  public:
-  TcpListener(TransportMux& mux, std::uint16_t port, TcpOptions opts)
-      : mux_(mux), port_(port), opts_(opts) {}
+  TcpListener(std::uint16_t port, TcpOptions opts)
+      : port_(port), opts_(opts) {}
 
   using AcceptHandler =
       std::function<void(std::shared_ptr<TcpConnection>)>;
@@ -285,7 +292,6 @@ class TcpListener {
   const TcpOptions& options() const { return opts_; }
 
  private:
-  TransportMux& mux_;
   std::uint16_t port_;
   TcpOptions opts_;
   AcceptHandler on_accept_;

@@ -315,6 +315,33 @@ TEST(StoreDurability, VersionPruningReplaysExactly) {
   EXPECT_EQ(recovered.used_bytes(), store.used_bytes());
 }
 
+TEST(StoreDurability, ReplayCountsRecordsTheStoreRejects) {
+  durable::StorageDevice dev("disk", util::Rng(5));
+  durable::Wal wal(dev, "attic.wal");
+  attic::AtticStore store(1 << 20);
+  store.attach_wal(&wal);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(store
+                    .put("/f" + std::to_string(i),
+                         http::Body::synthetic(1000, i), i * kSecond)
+                    .ok());
+  }
+  ASSERT_TRUE(store.remove("/f2").ok());
+  const auto full = store.recover_from_wal(wal);  // same quota: all apply
+  EXPECT_EQ(full.records_rejected, 0u);
+
+  // A smaller quota refuses the second and third puts, and then the remove
+  // of a file that never came back: three records dropped, all counted.
+  dev.crash();
+  durable::Wal wal2(dev, "attic.wal");
+  attic::AtticStore small(1500);
+  const auto stats = small.recover_from_wal(wal2);
+  EXPECT_EQ(stats.records, 4u);
+  EXPECT_EQ(stats.records_rejected, 3u);
+  EXPECT_TRUE(small.exists("/f0"));
+  EXPECT_FALSE(small.exists("/f1"));
+}
+
 TEST(StoreDurability, FailedBarrierMeansNotDurable) {
   durable::StorageDevice dev("disk", util::Rng(5));
   durable::Wal wal(dev, "attic.wal");

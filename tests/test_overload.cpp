@@ -671,9 +671,10 @@ FlashOutcome run_flash_chaos_scenario() {
   constexpr int kLoadsPerClient = 5;
   for (int c = 0; c < kClients; ++c) {
     auto next = std::make_shared<std::function<void(int)>>();
-    *next = [&, c, next](int remaining) {
+    // Pending work owns the chain; the chain only observes itself.
+    *next = [&, c, self = std::weak_ptr(next)](int remaining) {
       clients[static_cast<std::size_t>(c)].loader->load_page(
-          "/news", [&, remaining, next](nocdn::PageLoadResult r) {
+          "/news", [&, remaining, next = self.lock()](nocdn::PageLoadResult r) {
             ++out.loads_done;
             if (r.success) ++out.loads_succeeded;
             if (remaining > 1) {

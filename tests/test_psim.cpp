@@ -277,7 +277,7 @@ TEST(PsimTcpDay, ReportIsPinned) {
             "tcp retransmits=0 timeouts=4\n"
             "per-pop hash=8c443676d8c519f5\n"
             "chaos crashes=1 restarts=1 partition_drops=3\n"
-            "events=634740 epochs=2390 crossings=86638 spilled=0\n");
+            "events=634610 epochs=2390 crossings=86638 spilled=0\n");
 }
 
 TEST(PsimTcpDay, ServesRequestsEndToEnd) {

@@ -578,3 +578,183 @@ TEST(Tcp, SackBlocksNeverExceedCapUnderLongOooBurst) {
 
 }  // namespace
 }  // namespace hpop::transport
+
+// Endpoint ownership: the mux owns every connection and session until it
+// finishes, and a finished endpoint drops its handlers. Each case holds
+// only weak_ptrs once the application lets go of its handles, so a
+// handler that captures its own endpoint must not keep it alive.
+namespace hpop::transport {
+namespace {
+
+TEST(Ownership, GracefulCloseFreesSelfCapturingConnections) {
+  PathFixture f;
+  std::weak_ptr<TcpConnection> server_wp;
+  auto listener = f.mux_b->tcp_listen(80);
+  listener->set_on_accept([&](std::shared_ptr<TcpConnection> conn) {
+    server_wp = conn;
+    conn->set_on_message([conn](net::PayloadPtr) {
+      conn->send(std::make_shared<BytesPayload>("pong"));
+      conn->close();
+    });
+  });
+  auto client = f.mux_a->tcp_connect(f.b_endpoint(80));
+  bool closed = false;
+  client->set_on_established([client] {
+    client->send(std::make_shared<BytesPayload>("ping"));
+  });
+  client->set_on_remote_close([client] { client->close(); });
+  client->set_on_closed([&closed, client] { closed = true; });
+  const std::weak_ptr<TcpConnection> client_wp = client;
+  client.reset();
+  f.sim.run();
+  EXPECT_TRUE(closed);
+  EXPECT_TRUE(client_wp.expired());
+  EXPECT_TRUE(server_wp.expired());
+}
+
+TEST(Ownership, ResetFreesSelfCapturingConnection) {
+  PathFixture f;
+  auto client = f.mux_a->tcp_connect(f.b_endpoint(81));  // nobody listens
+  const char* error = nullptr;
+  client->set_on_reset([&error, client] { error = client->last_error(); });
+  const std::weak_ptr<TcpConnection> client_wp = client;
+  client.reset();
+  f.sim.run();
+  EXPECT_STREQ(error, "connection reset by peer");
+  EXPECT_TRUE(client_wp.expired());
+}
+
+TEST(Ownership, AbortFromOnMessageFreesConnection) {
+  PathFixture f;
+  std::weak_ptr<TcpConnection> server_wp;
+  bool server_reset = false;
+  auto listener = f.mux_b->tcp_listen(80);
+  listener->set_on_accept([&](std::shared_ptr<TcpConnection> conn) {
+    server_wp = conn;
+    // The message handler finishes its own connection while it runs; the
+    // handler (and the captured `conn`) must survive until it returns.
+    conn->set_on_message([conn](net::PayloadPtr) {
+      conn->abort();
+      EXPECT_EQ(conn->state(), TcpConnection::State::kClosed);
+    });
+    conn->set_on_reset([&server_reset, conn] { server_reset = true; });
+  });
+  auto client = f.mux_a->tcp_connect(f.b_endpoint(80));
+  bool client_reset = false;
+  client->set_on_established([client] {
+    client->send(std::make_shared<BytesPayload>("a"));
+    client->send(std::make_shared<BytesPayload>("b"));
+  });
+  client->set_on_reset([&client_reset, client] { client_reset = true; });
+  const std::weak_ptr<TcpConnection> client_wp = client;
+  client.reset();
+  f.sim.run();
+  EXPECT_TRUE(server_reset);
+  EXPECT_TRUE(client_reset);
+  EXPECT_TRUE(server_wp.expired());
+  EXPECT_TRUE(client_wp.expired());
+}
+
+/// Weak references to a session and every subflow it holds.
+std::vector<std::weak_ptr<void>> session_and_subflows(
+    const std::shared_ptr<MptcpConnection>& session) {
+  std::vector<std::weak_ptr<void>> out{session};
+  for (const auto& sf : session->subflows()) out.emplace_back(sf.conn);
+  return out;
+}
+
+TEST(Ownership, ClosedMptcpSessionsAndSubflowsAreFreed) {
+  PathFixture f(PathParams{20 * kMbps, 10 * kMillisecond, 0.0, 1 << 21},
+                PathParams{20 * kMbps, 10 * kMillisecond, 0.0, 1 << 21});
+  const std::size_t total = 2u << 20;
+  TcpOptions server_opts;
+  server_opts.mp_capable = true;
+  auto listener = f.mux_b->tcp_listen(80, server_opts);
+  std::weak_ptr<MptcpConnection> server_wp;
+  listener->set_on_accept_mptcp([&](std::shared_ptr<MptcpConnection> conn) {
+    server_wp = conn;
+    conn->set_on_message([conn, total](net::PayloadPtr) {
+      conn->send_bytes(total);
+      conn->close();
+    });
+  });
+  auto client = f.mux_a->mptcp_connect(f.b_endpoint(80));
+  std::uint64_t received = 0;
+  bool client_closed = false;
+  client->set_on_established([client] {
+    client->add_subflow(TcpOptions{});
+    client->send(std::make_shared<BytesPayload>("GET"));
+  });
+  client->set_on_bytes([&received, total, client](std::size_t n) {
+    received += n;
+    if (received == total) client->close();
+  });
+  client->set_on_closed([&client_closed, client] { client_closed = true; });
+  f.sim.run_until(kSecond / 2);  // mid-transfer: collect both ends' subflows
+  auto server = server_wp.lock();
+  ASSERT_TRUE(server != nullptr);
+  auto watched = session_and_subflows(client);
+  for (auto& wp : session_and_subflows(server)) watched.push_back(wp);
+  EXPECT_EQ(watched.size(), 6u);  // two sessions, two subflows each
+  client.reset();
+  f.sim.run_until(60 * kSecond);
+  EXPECT_EQ(received, total);
+  EXPECT_TRUE(client_closed);
+  EXPECT_EQ(server->last_error(), nullptr);
+  server.reset();
+  for (const auto& wp : watched) EXPECT_TRUE(wp.expired());
+}
+
+TEST(Ownership, DestroyedMuxFreesLiveConnectionAndSession) {
+  PathFixture f;
+  TcpOptions server_opts;
+  server_opts.mp_capable = true;
+  auto listener = f.mux_b->tcp_listen(80, server_opts);
+  std::vector<std::weak_ptr<void>> accepted;
+  listener->set_on_accept([&](std::shared_ptr<TcpConnection> conn) {
+    accepted.emplace_back(conn);
+    conn->set_on_message([conn](net::PayloadPtr) {});
+  });
+  listener->set_on_accept_mptcp([&](std::shared_ptr<MptcpConnection> conn) {
+    accepted.emplace_back(conn);
+    conn->set_on_message([conn](net::PayloadPtr) {});
+  });
+  auto tcp = f.mux_a->tcp_connect(f.b_endpoint(80));
+  tcp->set_on_established([tcp] { tcp->send_bytes(1000); });
+  auto session = f.mux_a->mptcp_connect(f.b_endpoint(80));
+  session->set_on_established([session] { session->send_bytes(1000); });
+  f.sim.run_until(kSecond);  // both established, neither closed
+  ASSERT_EQ(accepted.size(), 2u);
+  ASSERT_EQ(tcp->state(), TcpConnection::State::kEstablished);
+  ASSERT_TRUE(session->established());
+  std::vector<std::weak_ptr<void>> watched = accepted;
+  for (auto& wp : session_and_subflows(session)) watched.push_back(wp);
+  watched.emplace_back(tcp);
+  tcp.reset();
+  session.reset();
+  f.mux_a.reset();
+  f.mux_b.reset();
+  listener.reset();
+  for (const auto& wp : watched) EXPECT_TRUE(wp.expired());
+}
+
+TEST(Ownership, ListenerIsFreedAfterItsMux) {
+  PathFixture f;
+  auto listener = f.mux_b->tcp_listen(80);
+  listener->set_on_accept([](std::shared_ptr<TcpConnection> conn) {
+    conn->set_on_remote_close([conn] { conn->close(); });
+  });
+  auto client = f.mux_a->tcp_connect(f.b_endpoint(80));
+  bool closed = false;
+  client->set_on_established([&] { client->close(); });
+  client->set_on_closed([&] { closed = true; });
+  f.sim.run();
+  ASSERT_TRUE(closed);
+  const std::weak_ptr<TcpListener> listener_wp = listener;
+  listener.reset();
+  f.mux_b.reset();
+  EXPECT_TRUE(listener_wp.expired());
+}
+
+}  // namespace
+}  // namespace hpop::transport
