@@ -242,6 +242,11 @@ struct ReachCase {
   const char* label;
 };
 
+// Print a case by its label. The default printer dumps the struct's raw
+// bytes, padding and label pointer included, so the discovered test names
+// changed from one run to the next.
+void PrintTo(const ReachCase& c, std::ostream* os) { *os << c.label; }
+
 class ReachabilitySweep : public ::testing::TestWithParam<ReachCase> {};
 
 TEST_P(ReachabilitySweep, PicksExpectedMethod) {
